@@ -28,7 +28,7 @@ Usage::
     PYTHONPATH=src python benchmarks/harness.py --json BENCH_engine.json \
         --baseline old.json                                      # write report
     PYTHONPATH=src python benchmarks/harness.py --workload fat_tree \
-        --scheduler calendar --min-events-per-sec 150000         # CI smoke gate
+        --min-events-per-sec 150000                              # CI smoke gate
     PYTHONPATH=src python benchmarks/harness.py --profile        # cProfile top-20
     PYTHONPATH=src python benchmarks/harness.py --sanitize       # sanitizer on
 
@@ -100,7 +100,9 @@ class WorkloadResult:
     sim_ns: int
     wall_s: float
     events_per_sec: float
-    scheduler: str = "auto"
+    #: Timer backend the run ended on (``Simulator.scheduler``); the
+    #: engine picks it, so it is recorded, not chosen.
+    scheduler: str
     core: str = "py"
     mean_rtt_ns: Optional[float] = None
     sanitize: bool = False
@@ -117,7 +119,8 @@ class WorkloadResult:
             # Provenance: which timer backend and dispatch core produced
             # these numbers -- throughput differs per backend and per
             # core, so cross-configuration comparisons must be
-            # detectable in the JSON.
+            # detectable in the JSON.  The backend is the engine's own
+            # choice, stamped as observed.
             "scheduler": self.scheduler,
             "core": self.core,
         }
@@ -136,14 +139,12 @@ class WorkloadResult:
         return data
 
 
-def build_fabric(workload: str, scheduler: str = "auto",
-                 sanitize: Optional[bool] = None):
+def build_fabric(workload: str, sanitize: Optional[bool] = None):
     """System + event fabric + delivery-counting sinks for one workload."""
     spec = WORKLOADS[workload]
     system = VeniceSystem.build(VeniceConfig(num_nodes=spec["num_nodes"],
                                              topology=spec["topology"]))
-    fabric = system.build_event_fabric(
-        sim=Simulator(scheduler=scheduler, sanitize=sanitize))
+    fabric = system.build_event_fabric(sim=Simulator(sanitize=sanitize))
     # Sink cost is part of the measured wall clock: a bound list append
     # is the cheapest per-delivery accounting available in pure Python.
     delivered: List[Packet] = []
@@ -383,8 +384,8 @@ class ChurnOpsDriver:
     WAVE_GAP_NS = 15_000
     READ_DEADLINE_NS = 200_000
 
-    def __init__(self, ops: int, scheduler: str = "auto",
-                 sanitize: Optional[bool] = None, seed: int = 2016):
+    def __init__(self, ops: int, sanitize: Optional[bool] = None,
+                 seed: int = 2016):
         from repro.cluster import Cluster, ClusterConfig
         from repro.core.channels.backend import RetryPolicy
         from repro.runtime.churn import ChurnConfig, ChurnEngine
@@ -393,7 +394,7 @@ class ChurnOpsDriver:
         self.ops = ops
         self.cluster = Cluster(ClusterConfig(
             num_nodes=8, topology="fat_tree", transport_backend="event",
-            scheduler=scheduler, sanitize=sanitize))
+            sanitize=sanitize))
         self.shares = [share for batch in self.cluster.matchmaker.borrow_many(
             [(node, 1 << 20) for node in self.cluster.node_ids])
             for share in batch]
@@ -466,9 +467,8 @@ class MnShardOpsDriver:
     #: across the campaign so crashes land between waves too).
     WAVE_GAP_NS = 15_000
 
-    def __init__(self, ops: int, scheduler: str = "auto",
-                 sanitize: Optional[bool] = None, seed: int = 2016,
-                 shards: int = 2):
+    def __init__(self, ops: int, sanitize: Optional[bool] = None,
+                 seed: int = 2016, shards: int = 2):
         from repro.cluster import Cluster, ClusterConfig
         from repro.runtime.churn import ChurnConfig, ChurnEngine
         from repro.runtime.fault import FaultHandler
@@ -478,8 +478,7 @@ class MnShardOpsDriver:
         self.ops = ops
         self.cluster = Cluster(ClusterConfig(
             num_nodes=8, topology="fat_tree", monitor_shards=shards,
-            transport_backend="event", scheduler=scheduler,
-            sanitize=sanitize))
+            transport_backend="event", sanitize=sanitize))
         self.transport = self.cluster.event_transport()
         self.sim = self.transport.sim
         monitor = self.cluster.monitor
@@ -538,7 +537,7 @@ class MnShardOpsDriver:
 
 
 def build_parallel_spec(workload: str, packets_per_node: Optional[int] = None,
-                        seed: int = 2016, scheduler: str = "auto"):
+                        seed: int = 2016):
     """Deterministic open-loop spec for the partitioned fat-tree runs.
 
     Same shape as :func:`inject_traffic` -- per-node bursts separated by
@@ -569,7 +568,6 @@ def build_parallel_spec(workload: str, packets_per_node: Optional[int] = None,
     return ParallelFabricSpec(num_nodes=num_nodes,
                               leaf_radix=spec["leaf_radix"],
                               num_spines=spec["num_spines"],
-                              scheduler=scheduler,
                               injections=tuple(injections))
 
 
@@ -586,8 +584,7 @@ def _resolved_core(sanitize: Optional[bool]) -> str:
 
 
 def run_workload(workload: str, packets_per_node: Optional[int] = None,
-                 seed: int = 2016, scheduler: str = "auto",
-                 sanitize: bool = False,
+                 seed: int = 2016, sanitize: bool = False,
                  parallel: Optional[int] = None) -> WorkloadResult:
     """Build, inject and run one workload under the wall-clock timer.
 
@@ -606,7 +603,7 @@ def run_workload(workload: str, packets_per_node: Optional[int] = None,
 
         workers = parallel if parallel is not None else spec["workers"]
         parallel_spec = build_parallel_spec(workload, packets_per_node,
-                                            seed=seed, scheduler=scheduler)
+                                            seed=seed)
         mode = "fork" if workers > 1 else "inline"
         start = time.perf_counter()
         dump = run_partitioned(parallel_spec, workers=workers, mode=mode)
@@ -620,15 +617,17 @@ def run_workload(workload: str, packets_per_node: Optional[int] = None,
             sim_ns=max((record[0] for record in deliveries), default=0),
             wall_s=wall,
             events_per_sec=dump["events"] / wall if wall > 0 else 0.0,
-            scheduler=scheduler,
+            # Each partition's simulator picks its own backend, out of
+            # reach in the fork workers.
+            scheduler="auto",
             core=_resolved_core(san),
             sanitize=bool(san),
             workers=workers,
         )
     if spec["mode"] == "mn_shard":
         shard_driver = MnShardOpsDriver(ops=packets_per_node or spec["ops"],
-                                        scheduler=scheduler, sanitize=san,
-                                        seed=seed, shards=spec["shards"])
+                                        sanitize=san, seed=seed,
+                                        shards=spec["shards"])
         start = time.perf_counter()
         shard_driver.run()
         wall = time.perf_counter() - start
@@ -648,8 +647,7 @@ def run_workload(workload: str, packets_per_node: Optional[int] = None,
         )
     if spec["mode"] == "churn":
         churn_driver = ChurnOpsDriver(ops=packets_per_node or spec["ops"],
-                                      scheduler=scheduler, sanitize=san,
-                                      seed=seed)
+                                      sanitize=san, seed=seed)
         start = time.perf_counter()
         churn_driver.run()
         wall = time.perf_counter() - start
@@ -671,7 +669,7 @@ def run_workload(workload: str, packets_per_node: Optional[int] = None,
         system = VeniceSystem.build(
             VeniceConfig(num_nodes=spec["num_nodes"],
                          topology=spec["topology"]),
-            transport_backend="event", scheduler=scheduler, sanitize=san)
+            transport_backend="event", sanitize=san)
         concurrent_driver = ConcurrentOpsDriver(
             system, ops=packets_per_node or spec["ops"],
             requesters=spec["requesters"])
@@ -696,7 +694,7 @@ def run_workload(workload: str, packets_per_node: Optional[int] = None,
         system = VeniceSystem.build(
             VeniceConfig(num_nodes=spec["num_nodes"],
                          topology=spec["topology"]),
-            transport_backend="event", scheduler=scheduler, sanitize=san)
+            transport_backend="event", sanitize=san)
         channel_driver = ChannelOpsDriver(system,
                                           ops=packets_per_node or spec["ops"])
         start = time.perf_counter()
@@ -719,15 +717,13 @@ def run_workload(workload: str, packets_per_node: Optional[int] = None,
     if spec["mode"] == "closed":
         system = VeniceSystem.build(VeniceConfig(num_nodes=spec["num_nodes"],
                                                  topology=spec["topology"]))
-        fabric = system.build_event_fabric(
-            sim=Simulator(scheduler=scheduler, sanitize=san))
+        fabric = system.build_event_fabric(sim=Simulator(sanitize=san))
         driver = ClosedLoopDriver(
             system, fabric,
             requests_per_node=packets_per_node or spec["requests_per_node"],
             window=spec["window"], seed=seed)
     else:
-        system, fabric, delivered = build_fabric(workload, scheduler=scheduler,
-                                                 sanitize=san)
+        system, fabric, delivered = build_fabric(workload, sanitize=san)
         injected = inject_traffic(system, fabric, workload,
                                   packets_per_node or spec["packets_per_node"],
                                   seed=seed)
@@ -753,8 +749,7 @@ def run_workload(workload: str, packets_per_node: Optional[int] = None,
 
 def run_all(packets_per_node: Optional[int] = None,
             workloads: Optional[List[str]] = None,
-            repeats: int = 1, scheduler: str = "auto",
-            sanitize: bool = False,
+            repeats: int = 1, sanitize: bool = False,
             parallel: Optional[int] = None) -> Dict[str, WorkloadResult]:
     """Run the selected workloads, keeping the best of ``repeats`` runs."""
     results: Dict[str, WorkloadResult] = {}
@@ -762,8 +757,7 @@ def run_all(packets_per_node: Optional[int] = None,
         best: Optional[WorkloadResult] = None
         for _ in range(max(1, repeats)):
             result = run_workload(workload, packets_per_node,
-                                  scheduler=scheduler, sanitize=sanitize,
-                                  parallel=parallel)
+                                  sanitize=sanitize, parallel=parallel)
             if best is None or result.events_per_sec > best.events_per_sec:
                 best = result
         results[workload] = best
@@ -771,7 +765,7 @@ def run_all(packets_per_node: Optional[int] = None,
 
 
 def profile_workloads(workloads: Optional[List[str]] = None,
-                      scheduler: str = "auto", top: int = 20) -> None:
+                      top: int = 20) -> None:
     """Print the cProfile top-N cumulative hotspots per workload.
 
     Future perf PRs start from data: this is the same view the round-1
@@ -783,7 +777,7 @@ def profile_workloads(workloads: Optional[List[str]] = None,
     for workload in workloads or list(WORKLOADS):
         profiler = cProfile.Profile()
         profiler.enable()
-        result = run_workload(workload, scheduler=scheduler)
+        result = run_workload(workload)
         profiler.disable()
         print(f"\n=== {workload}: top {top} by cumulative time "
               f"({result.events} events, scheduler={result.scheduler}) ===")
@@ -852,9 +846,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="override per-node packet/request budget")
     parser.add_argument("--repeats", type=int, default=1,
                         help="runs per workload; the best events/sec is kept")
-    parser.add_argument("--scheduler", choices=("auto", "heap", "calendar"),
-                        default="auto",
-                        help="timer backend for the simulator (default: auto)")
     parser.add_argument("--core", choices=("auto", "c", "py"), default=None,
                         help="dispatch core: 'c' requires the compiled "
                              "extension (repro.sim._ccore) and fails with a "
@@ -900,11 +891,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 2
         # Workloads build their simulators many layers down (and
         # partition workers in other processes): the environment is the
-        # plumbing, exactly like SIM_SCHEDULER / SIM_SANITIZE.
+        # plumbing, exactly like SIM_SANITIZE.
         os.environ["SIM_CORE"] = args.core
 
     if args.profile:
-        profile_workloads(workloads=args.workload, scheduler=args.scheduler)
+        profile_workloads(workloads=args.workload)
         return 0
 
     baseline = None
@@ -914,8 +905,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     results = run_all(packets_per_node=args.packets_per_node,
                       workloads=args.workload, repeats=args.repeats,
-                      scheduler=args.scheduler, sanitize=args.sanitize,
-                      parallel=args.parallel)
+                      sanitize=args.sanitize, parallel=args.parallel)
     report = make_report(results, baseline=baseline, label=args.label)
     print_table(report)
 

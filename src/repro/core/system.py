@@ -75,7 +75,6 @@ class VeniceSystem:
     def __init__(self, config: VeniceConfig, topology: Topology,
                  nodes: Dict[int, VeniceNode], monitor: MonitorNode,
                  transport_backend: str = "closed_form",
-                 scheduler: str = "auto",
                  sanitize: Optional[bool] = None):
         if transport_backend not in ("closed_form", "event"):
             raise ValueError(
@@ -86,7 +85,6 @@ class VeniceSystem:
         self.nodes = nodes
         self.monitor = monitor
         self.transport_backend = transport_backend
-        self.scheduler = scheduler
         #: ``None`` defers to the ``SIM_SANITIZE`` environment variable
         #: when the system builds its simulators.
         self.sanitize = sanitize
@@ -101,7 +99,6 @@ class VeniceSystem:
     @classmethod
     def build(cls, config: Optional[VeniceConfig] = None,
               transport_backend: str = "closed_form",
-              scheduler: str = "auto",
               sanitize: Optional[bool] = None) -> "VeniceSystem":
         """Build a system from a configuration (Table 1 defaults)."""
         config = config or VeniceConfig()
@@ -116,7 +113,7 @@ class VeniceSystem:
             monitor.register_agent(nodes[node_id].agent)
         return cls(config=config, topology=topology, nodes=nodes,
                    monitor=monitor, transport_backend=transport_backend,
-                   scheduler=scheduler, sanitize=sanitize)
+                   sanitize=sanitize)
 
     @staticmethod
     def _build_topology(config: VeniceConfig) -> Topology:
@@ -199,11 +196,10 @@ class VeniceSystem:
                     PartitionedEventFabric, build_partitioned_fabric)
                 fabric = PartitionedEventFabric(build_partitioned_fabric(
                     self.config.fabric, self.topology,
-                    scheduler=self.scheduler, sanitize=self.sanitize))
+                    sanitize=self.sanitize))
             else:
                 fabric = self.build_event_fabric(
-                    sim=Simulator(scheduler=self.scheduler,
-                                  sanitize=self.sanitize))
+                    sim=Simulator(sanitize=self.sanitize))
             self._event_transport = EventTransport(fabric)
             self._event_transport_partitioned = wants_partitions
         elif wants_partitions and not self._event_transport_partitioned:

@@ -640,7 +640,9 @@ class ShardCoordinator:
         are gone for later ones.  Successful plans are registered as
         in-flight tickets for crash replay; the modelled makespan
         (coordinator serial cost + busiest shard) is accumulated for
-        the throughput sweeps.
+        the throughput sweeps.  A capacity shortfall raises
+        :class:`BatchPlanError` naming the request being planned, with
+        every other ticket of the batch as the re-queue set.
         """
         self.require_quorum()
         available = self._availability()
@@ -650,8 +652,19 @@ class ShardCoordinator:
         entries: List[BatchPlanEntry] = []
         for request in batch:
             route_total_ns += self.route_ns
-            plan, used = self.plan_one(request.requester, request.size_bytes,
-                                       available, rat)
+            try:
+                plan, used = self.plan_one(request.requester,
+                                           request.size_bytes, available, rat)
+            except ShardUnavailableError:
+                raise
+            except AllocationError as error:
+                raise BatchPlanError(
+                    f"batched request (ticket {request.ticket}, after "
+                    f"{len(entries)} earlier tickets): {error}",
+                    failed_request=request,
+                    requeued_tickets=[queued.ticket for queued in batch
+                                      if queued.ticket != request.ticket],
+                ) from None
             home = self._shard_of[request.requester]
             busy[home] += self.mn_service_ns
             for shard_id in sorted(used - {home}):
@@ -924,29 +937,11 @@ class ShardedMonitor:
         except ShardUnavailableError:
             self._request_queue = batch + self._request_queue
             raise
-        except BatchPlanError:
-            raise
-        except AllocationError as error:
-            failed = self._failed_request(batch, error)
+        except BatchPlanError as error:
             untouched = [queued for queued in batch
-                         if queued.ticket != failed.ticket]
+                         if queued.ticket != error.failed_ticket]
             self._request_queue = untouched + self._request_queue
-            raise BatchPlanError(
-                f"batched request (ticket {failed.ticket}): {error}",
-                failed_request=failed,
-                requeued_tickets=[q.ticket for q in untouched],
-            ) from None
-
-    @staticmethod
-    def _failed_request(batch: List[QueuedRequest],
-                        error: AllocationError) -> QueuedRequest:
-        # plan_batch raises on the request it was planning; recover it
-        # from the message's requester id (deterministic format).
-        text = str(error)
-        for queued in batch:
-            if f"for node {queued.requester}:" in text:
-                return queued
-        return batch[-1]
+            raise
 
     def complete_ticket(self, ticket: int) -> None:
         self.coordinator.complete_ticket(ticket)

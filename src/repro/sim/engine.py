@@ -35,31 +35,20 @@ Two timer backends sit behind the same API:
   (the fabric workloads).  Both backends dispatch in exactly the same
   (time, seq) order, so simulation results are byte-identical.
 
-``scheduler="auto"`` (the default) starts on the heap and adopts the
-calendar at the top of a :meth:`run` call when the pending timer
-population is dense: at least ``_AUTO_CALENDAR_MIN_PENDING`` timers
-whose mean spacing is within a few bucket widths.  Sparse populations
-(e.g. a handful of long watchdog timers) stay on the heap, where one
-rotation of mostly-empty buckets would otherwise be wasted work.  The
-adoption decision reads only simulator state, never the wall clock, so
-it is deterministic.
-
-**Per-delay-class FIFO lanes** sit in front of both timer backends.
-``call_after`` delays that repeat often (the fabric's link serialization
-constants, PHY latency, datalink processing and switch forwarding
-delays) are promoted to a dedicated lane: because the clock is monotonic
-and the delay is constant, entries of one lane are created in
-nondecreasing (time, seq) order, so a plain deque *is* already sorted.
-Only the lane's head entry is parked in the heap/calendar; when it is
-dispatched (or cancelled) the next entry of the lane is promoted into
-the backend.  The timer structures therefore hold at most one entry per
-lane instead of the whole in-flight population -- heap pushes shrink
-from O(log n) on thousands of entries to O(log lanes), and the calendar
-queue's same-day ``insort`` stops shifting long runs.  Dispatch order is
-exactly the (time, seq) order the un-laned queues would produce: the
-backend always contains each lane's minimum, and successors promoted at
-dispatch time carry times ``>= now`` with sequence numbers allocated at
-creation, so the timer-before-ready rule is unchanged.
+The backend is chosen automatically; there is no setting for it.  Every
+simulator starts on the heap and adopts the calendar at the top of a
+:meth:`run` call when the pending timer population is dense: at least
+``_AUTO_CALENDAR_MIN_PENDING`` (16) timers whose mean gap -- span from
+now to the latest pending timer divided by their count -- is at most
+``_AUTO_CALENDAR_MAX_GAP_BUCKETS`` (4) bucket widths of
+``_CAL_BUCKET_NS`` (128 ns).  Sparse populations (e.g. a handful of
+long watchdog timers) stay on the heap, where one rotation of
+mostly-empty buckets would otherwise be wasted work.  The decision reads
+only simulator state, never the wall clock, so it is deterministic.
+Both backends earn their place: a seeded 64-node all-to-all packet
+storm pre-schedules 51,200 timers at a mean gap of 62 ns, adopts the
+calendar and dispatches its 1.36M events there, and on fabric workloads
+the calendar measures 1.2-1.46x faster than the heap in this engine.
 
 Cancellation clears the callback slot in place (``entry[2] = None``);
 cancelled entries are purged lazily when they surface, and
@@ -80,57 +69,33 @@ from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
 #: Queue-entry field indices.  Entries are ``[time, seq, callback, args,
-#: single, lane]``: ``single`` is True when ``args`` is one bare
-#: positional argument (the trampoline fast paths), False when it is a
-#: tuple.  ``lane`` is non-None exactly when the entry is the *head* of
-#: a per-delay FIFO lane parked in the timer backend (see the lane notes
-#: in the module docstring); the unique ``seq`` at index 1 guarantees
-#: list comparison never reaches it.
-_TIME, _SEQ, _CALLBACK, _ARGS, _SINGLE, _LANE = 0, 1, 2, 3, 4, 5
+#: single]``: ``single`` is True when ``args`` is one bare positional
+#: argument (the trampoline fast paths), False when it is a tuple.  The
+#: unique ``seq`` at index 1 guarantees list comparison never reaches
+#: the callback.
+_TIME, _SEQ, _CALLBACK, _ARGS, _SINGLE = 0, 1, 2, 3, 4
 
 #: ``drain_cancelled`` runs automatically once at least this many
 #: cancelled entries are buried in the queues *and* they outnumber the
 #: live entries (see :meth:`Simulator.cancel`).
 _AUTO_DRAIN_MIN_CANCELLED = 512
 
-#: ``scheduler="auto"`` adopts the calendar backend only when at least
-#: this many timers are pending at the top of a ``run()`` call (small
-#: enough that reactive closed-loop workloads, which only pre-schedule
-#: their initial request windows, still qualify) ...
+#: The calendar backend is adopted only when at least this many timers
+#: are pending at the top of a ``run()`` call (small enough that
+#: reactive closed-loop workloads, which only pre-schedule their initial
+#: request windows, still qualify) ...
 _AUTO_CALENDAR_MIN_PENDING = 16
 #: ... and their mean spacing is at most this many bucket widths (a
 #: dense population; sparse populations stay on the heap).
 _AUTO_CALENDAR_MAX_GAP_BUCKETS = 4
 
-#: A ``call_after`` delay value earns a dedicated FIFO lane once it has
-#: been scheduled this many times.  Fabric delays (link serialization
-#: per size class, PHY latency, datalink processing, switch forwarding)
-#: repeat millions of times, so the threshold only needs to filter out
-#: incidental repeats.
-_LANE_MIN_REPEATS = 128
-#: At most this many distinct delay classes get lanes; the fabric needs
-#: fewer than ten.
-_LANE_MAX_LANES = 8
-#: Lane machinery (repeat tracking, arming, parking) engages only
-#: while the *heap* holds at least this many entries.  Parking pays
-#: when the parked population is a large fraction of the heap -- a
-#: same-delay timer storm -- because every entry still reaches the
-#: backend eventually, one promotion at a time; what the lane buys is
-#: a smaller heap (cheaper O(log n) sifts) for everyone else in the
-#: meantime.  Steady-state fabric traffic over a few-thousand-entry
-#: heap parks only dozens of timers at a time, so the bookkeeping is a
-#: measured net loss there (~7% wall on the pair/star workloads at a
-#: 512 threshold); the gate is set above any steady-state workload
-#: depth and below degenerate storm depths.  It reads
-#: ``len(self._queue)``, which the calendar backend keeps empty: lanes
-#: never engage there, deliberately -- the calendar already gives O(1)
-#: far-future appends, and parking would turn those into per-dispatch
-#: same-day insorts.  Entries parked behind a busy head always stay in
-#: the lane (FIFO correctness) regardless of depth.
-_LANE_MIN_DEPTH = 8192
-#: Bound on the repeat-counting dict so arbitrary delay mixes (e.g.
-#: randomized backoff) cannot grow it without limit.
-_LANE_MAX_TRACKED = 64
+#: Calendar geometry: bucket (day) width in ns and bucket count, both
+#: powers of two; one rotation covers ``_CAL_BUCKET_NS * _CAL_BUCKETS``
+#: (~1 ms).
+_CAL_BUCKET_NS = 128
+_CAL_BUCKETS = 8192
+_CAL_SHIFT = _CAL_BUCKET_NS.bit_length() - 1
+_CAL_MASK = _CAL_BUCKETS - 1
 
 
 class SimulationError(RuntimeError):
@@ -212,7 +177,7 @@ def _load_ccore(build: bool = False):
                 RuntimeWarning, stacklevel=3)
         return None
     version = getattr(_ccore, "CCORE_API_VERSION", None)
-    if version != 1:
+    if version != 2:
         state["error"] = f"ABI mismatch (CCORE_API_VERSION={version!r})"
         if not state["warned"]:
             state["warned"] = True
@@ -265,15 +230,6 @@ class Simulator:
 
     Parameters
     ----------
-    scheduler:
-        ``"heap"``, ``"calendar"`` or ``"auto"`` (default).  ``auto``
-        starts on the heap and switches to the calendar queue when a
-        dense short-delay timer population shows up (see module notes).
-    calendar_bucket_ns:
-        Bucket (day) width of the calendar backend, power of two.
-    calendar_buckets:
-        Number of buckets (one rotation covers ``bucket_ns * buckets``
-        nanoseconds), power of two.
     sanitize:
         Enable the runtime sanitizer: every dispatched event is checked
         against the monotonic-clock and total (time, seq) order
@@ -296,16 +252,12 @@ class Simulator:
     """
 
     __slots__ = ("_now", "_seq", "_queue", "_ready", "_running",
-                 "_event_count", "_cancelled", "_policy", "_cal_bucket_ns",
-                 "_cal_shift", "_cal_mask", "_cal_active", "_cal_buckets",
+                 "_event_count", "_cancelled", "_cal_active", "_cal_buckets",
                  "_cal_count", "_cal_day", "_cur", "_cur_idx",
                  "_auto_checked_pending", "_sanitize", "_san_last_time",
-                 "_san_last_seq", "_san_trace", "_lane_map", "_lane_seen",
-                 "_lane_count")
+                 "_san_last_seq", "_san_trace")
 
-    def __new__(cls, scheduler: str = "auto", calendar_bucket_ns: int = 128,
-                calendar_buckets: int = 8192,
-                sanitize: Optional[bool] = None,
+    def __new__(cls, sanitize: Optional[bool] = None,
                 core: Optional[str] = None) -> "Simulator":
         # Factory: a plain ``Simulator(...)`` constructs the compiled-
         # core subclass when core resolution picks "c".  Explicit
@@ -314,17 +266,8 @@ class Simulator:
             return object.__new__(_CSimulator)
         return object.__new__(cls)
 
-    def __init__(self, scheduler: str = "auto", calendar_bucket_ns: int = 128,
-                 calendar_buckets: int = 8192,
-                 sanitize: Optional[bool] = None,
+    def __init__(self, sanitize: Optional[bool] = None,
                  core: Optional[str] = None) -> None:
-        if scheduler not in ("auto", "heap", "calendar"):
-            raise ValueError(f"unknown scheduler {scheduler!r} "
-                             "(expected 'heap', 'calendar' or 'auto')")
-        if calendar_bucket_ns <= 0 or calendar_bucket_ns & (calendar_bucket_ns - 1):
-            raise ValueError("calendar_bucket_ns must be a positive power of two")
-        if calendar_buckets <= 0 or calendar_buckets & (calendar_buckets - 1):
-            raise ValueError("calendar_buckets must be a positive power of two")
         if sanitize is None:
             sanitize = os.environ.get("SIM_SANITIZE", "0") not in ("", "0")
         self._sanitize = bool(sanitize)
@@ -338,10 +281,6 @@ class Simulator:
         self._running = False
         self._event_count = 0
         self._cancelled = 0
-        self._policy = scheduler
-        self._cal_bucket_ns = calendar_bucket_ns
-        self._cal_shift = calendar_bucket_ns.bit_length() - 1
-        self._cal_mask = calendar_buckets - 1
         self._cal_active = False
         self._cal_buckets: List[List[list]] = []
         self._cal_count = 0  # entries parked in buckets (not in the run)
@@ -349,14 +288,6 @@ class Simulator:
         self._cur: List[list] = []  # sorted run for days <= _cal_day
         self._cur_idx = 0
         self._auto_checked_pending = 0
-        #: delay -> [deque of parked successors, head-in-backend flag].
-        self._lane_map: dict = {}  # simlint: disable=SIM006 -- bounded by _LANE_MAX_LANES
-        #: delay -> times seen; candidates for lane promotion.
-        self._lane_seen: dict = {}  # simlint: disable=SIM006 -- bounded by _LANE_MAX_TRACKED
-        #: Entries parked in lane deques (excluded from the backends).
-        self._lane_count = 0
-        if scheduler == "calendar":
-            self._activate_calendar()
 
     @property
     def now(self) -> int:
@@ -381,11 +312,6 @@ class Simulator:
         return "calendar" if self._cal_active else "heap"
 
     @property
-    def scheduler_policy(self) -> str:
-        """The backend selection policy this simulator was built with."""
-        return self._policy
-
-    @property
     def sanitize(self) -> bool:
         """Whether the runtime sanitizer is active on this simulator."""
         return self._sanitize
@@ -400,7 +326,7 @@ class Simulator:
 
         Only available while sanitizing (the trace hook lives in the
         sanitized dispatch path).  Returns the live trace list; the
-        lockstep heap-versus-calendar cross-check diffs two of these to
+        heap-versus-calendar lockstep test diffs two of these to
         find the first divergence.
         """
         if not self._sanitize:
@@ -435,8 +361,8 @@ class Simulator:
         """Pending queue entries, including not-yet-purged cancellations."""
         if self._cal_active:
             return (len(self._cur) - self._cur_idx + self._cal_count
-                    + len(self._ready) + self._lane_count)
-        return len(self._queue) + len(self._ready) + self._lane_count
+                    + len(self._ready))
+        return len(self._queue) + len(self._ready)
 
     # ------------------------------------------------------------------
     # Calendar backend plumbing
@@ -447,10 +373,10 @@ class Simulator:
         Pending heap entries migrate in place (the entry lists move, so
         outstanding cancellation handles stay valid).
         """
-        self._cal_buckets = [[] for _ in range(self._cal_mask + 1)]
+        self._cal_buckets = [[] for _ in range(_CAL_BUCKETS)]
         self._cal_active = True
-        shift = self._cal_shift
-        mask = self._cal_mask
+        shift = _CAL_SHIFT
+        mask = _CAL_MASK
         self._cal_day = self._now >> shift
         queue = self._queue
         if queue:
@@ -471,7 +397,7 @@ class Simulator:
             self._queue = []
 
     def _maybe_adopt_calendar(self) -> None:
-        """``auto`` policy: adopt the calendar for dense timer populations.
+        """Adopt the calendar backend for a dense timer population.
 
         The density scan is O(pending), so after a failed check it is
         re-attempted only once the population has doubled -- repeated
@@ -483,7 +409,7 @@ class Simulator:
                 or pending < 2 * self._auto_checked_pending):
             return
         span = max(entry[_TIME] for entry in queue) - self._now
-        if span // pending <= self._cal_bucket_ns * _AUTO_CALENDAR_MAX_GAP_BUCKETS:
+        if span // pending <= _CAL_BUCKET_NS * _AUTO_CALENDAR_MAX_GAP_BUCKETS:
             self._activate_calendar()
         else:
             self._auto_checked_pending = pending
@@ -498,8 +424,8 @@ class Simulator:
         """
         if not self._cal_count:
             return False
-        shift = self._cal_shift
-        mask = self._cal_mask
+        shift = _CAL_SHIFT
+        mask = _CAL_MASK
         buckets = self._cal_buckets
         day = self._cal_day
         for _ in range(mask + 1):
@@ -555,7 +481,7 @@ class Simulator:
     def _push_timer(self, entry: list) -> None:
         """Park a future-time entry in the active timer backend."""
         if self._cal_active:
-            day = entry[_TIME] >> self._cal_shift
+            day = entry[_TIME] >> _CAL_SHIFT
             if day <= self._cal_day:
                 # Same-day (or already-loaded-day) push: ordered insert
                 # into the current sorted run.  Entries before _cur_idx
@@ -563,30 +489,10 @@ class Simulator:
                 # be correct too -- lo=_cur_idx just skips them.
                 insort(self._cur, entry, self._cur_idx)
             else:
-                self._cal_buckets[day & self._cal_mask].append(entry)
+                self._cal_buckets[day & _CAL_MASK].append(entry)
                 self._cal_count += 1
         else:
             heappush(self._queue, entry)
-
-    def _promote_lane(self, lane: list) -> None:
-        """Move a lane's next live entry into the timer backend.
-
-        Called when the lane's current head leaves the backend
-        (dispatched or cancelled).  Cancelled parked entries are purged
-        on the way -- they never reach the backend, so the lazy-purge
-        accounting is settled here.  When the deque is empty the lane is
-        marked headless and the next ``call_after`` re-arms it.
-        """
-        pending = lane[0]
-        while pending:
-            nxt = pending.popleft()
-            self._lane_count -= 1
-            if nxt[_CALLBACK] is not None:
-                nxt[_LANE] = lane
-                self._push_timer(nxt)
-                return
-            self._cancelled -= 1
-        lane[1] = False
 
     def schedule(self, delay: int, callback: Callable[..., None], *args: Any) -> list:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now.
@@ -595,7 +501,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        entry = [self._now + int(delay), self._seq, callback, args, False, None]
+        entry = [self._now + int(delay), self._seq, callback, args, False]
         self._seq += 1
         if delay == 0:
             self._ready.append(entry)
@@ -609,7 +515,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
-        entry = [int(time), self._seq, callback, args, False, None]
+        entry = [int(time), self._seq, callback, args, False]
         self._seq += 1
         if time == self._now:
             self._ready.append(entry)
@@ -624,7 +530,7 @@ class Simulator:
         callbacks whose delay is always zero; skips delay validation and
         the timer queue.
         """
-        entry = [self._now, self._seq, callback, value, True, None]
+        entry = [self._now, self._seq, callback, value, True]
         self._seq += 1
         self._ready.append(entry)
         return entry
@@ -638,56 +544,16 @@ class Simulator:
         performed.  Negative delays still raise -- a silent backwards
         clock would corrupt event ordering -- the guard merely folds
         into the queue-selection branch.
-
-        Delays that repeat at least ``_LANE_MIN_REPEATS`` times earn a
-        FIFO lane: while the lane's head sits in the timer backend,
-        later entries of the same delay park in the lane deque (an O(1)
-        append, no heap/insort work) and are promoted one at a time as
-        heads dispatch.  See the lane notes in the module docstring.
         """
-        entry = [self._now + delay, self._seq, callback, value, True, None]
+        entry = [self._now + delay, self._seq, callback, value, True]
         self._seq += 1
         if delay > 0:
-            # Lane logic only runs under pressure: either entries are
-            # parked in some lane (FIFO correctness demands same-delay
-            # traffic keeps flowing through that lane's deque) or the
-            # heap is deep enough that arming a head can pay.  The
-            # common shallow/calendar case pays one counter check and
-            # one len() here -- no dict lookups, no repeat tracking.
-            # A direct push past an armed-but-empty lane head is safe:
-            # the backend's global (time, seq) order covers it, and the
-            # head disarms itself at dispatch when its deque is empty.
-            if self._lane_count or len(self._queue) >= _LANE_MIN_DEPTH:
-                lane = self._lane_map.get(delay)
-                if lane is not None:
-                    if lane[1]:
-                        # A head of this lane is already parked in the
-                        # timer backend; queue behind it.  The clock is
-                        # monotonic and the delay constant, so the deque
-                        # stays in (time, seq) order by construction.
-                        lane[0].append(entry)
-                        self._lane_count += 1
-                        return entry
-                    if len(self._queue) >= _LANE_MIN_DEPTH:
-                        lane[1] = True
-                        entry[_LANE] = lane
-                elif len(self._lane_map) < _LANE_MAX_LANES:
-                    seen = self._lane_seen
-                    count = seen.get(delay, 0)
-                    if count >= _LANE_MIN_REPEATS:
-                        self._lane_map[delay] = lane = [deque(), False]
-                        if len(self._queue) >= _LANE_MIN_DEPTH:
-                            lane[1] = True
-                            entry[_LANE] = lane
-                        del seen[delay]
-                    elif count or len(seen) < _LANE_MAX_TRACKED:
-                        seen[delay] = count + 1
             if self._cal_active:
-                day = entry[0] >> self._cal_shift
+                day = entry[0] >> _CAL_SHIFT
                 if day <= self._cal_day:
                     insort(self._cur, entry, self._cur_idx)
                 else:
-                    self._cal_buckets[day & self._cal_mask].append(entry)
+                    self._cal_buckets[day & _CAL_MASK].append(entry)
                     self._cal_count += 1
             else:
                 heappush(self._queue, entry)
@@ -714,14 +580,6 @@ class Simulator:
             handle[_CALLBACK] = None
             handle[_ARGS] = None
             self._cancelled += 1
-            lane = handle[_LANE]
-            if lane is not None:
-                # A lane head was cancelled while parked in the backend:
-                # promote its successor immediately so the backend keeps
-                # holding the lane's minimum (the dead head is purged
-                # lazily like any other cancelled backend entry).
-                handle[_LANE] = None
-                self._promote_lane(lane)
             if (self._cancelled >= _AUTO_DRAIN_MIN_CANCELLED
                     and self._cancelled * 2 >= len(self)):
                 self.drain_cancelled()
@@ -769,15 +627,6 @@ class Simulator:
                     if entry[_CALLBACK] is not None]
             self._ready.clear()
             self._ready.extend(live)
-        for delay in sorted(self._lane_map):
-            pending = self._lane_map[delay][0]
-            if pending:
-                live = [entry for entry in pending
-                        if entry[_CALLBACK] is not None]
-                if len(live) != len(pending):
-                    self._lane_count -= len(pending) - len(live)
-                    pending.clear()
-                    pending.extend(live)
         self._cancelled = 0
         return removed
 
@@ -853,12 +702,6 @@ class Simulator:
             # Mark the entry spent so a late cancel() is a no-op.
             entry[_CALLBACK] = None
             self._now = entry[_TIME]
-            lane = entry[_LANE]
-            if lane is not None:
-                if lane[0]:
-                    self._promote_lane(lane)
-                else:
-                    lane[1] = False
             self._event_count += 1
             if entry[_SINGLE]:
                 callback(entry[_ARGS])
@@ -889,7 +732,7 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
-        if not self._cal_active and self._policy == "auto":
+        if not self._cal_active:
             self._maybe_adopt_calendar()
         self._running = True
         try:
@@ -986,17 +829,6 @@ class Simulator:
                 callback = entry[_CALLBACK]
                 # Mark the entry spent so a late cancel() is a no-op.
                 entry[_CALLBACK] = None
-                lane = entry[_LANE]
-                if lane is not None:
-                    # Promote the lane's successor before running the
-                    # callback so the backend holds the lane's minimum
-                    # again by the time the loop next consults it (and
-                    # even if the callback raises).  Empty lane: just
-                    # disarm inline, skipping the call.
-                    if lane[0]:
-                        self._promote_lane(lane)
-                    else:
-                        lane[1] = False
                 if entry[_SINGLE]:
                     callback(entry[_ARGS])
                 else:
@@ -1100,17 +932,6 @@ class Simulator:
                         now = self._now = time
                         executed += 1
                         entry[_CALLBACK] = None
-                        lane = entry[_LANE]
-                        if lane is not None:
-                            # Promoted successors insort into this same
-                            # run (always at or after ``idx``) or park in
-                            # a future bucket; either way the backend
-                            # holds the lane's minimum again before the
-                            # next dispatch.  Empty lane: disarm inline.
-                            if lane[0]:
-                                self._promote_lane(lane)
-                            else:
-                                lane[1] = False
                         if entry[_SINGLE]:
                             callback(entry[_ARGS])
                         else:
@@ -1128,12 +949,6 @@ class Simulator:
                 executed += 1
                 callback = entry[_CALLBACK]
                 entry[_CALLBACK] = None
-                lane = entry[_LANE]
-                if lane is not None:
-                    if lane[0]:
-                        self._promote_lane(lane)
-                    else:
-                        lane[1] = False
                 if entry[_SINGLE]:
                     callback(entry[_ARGS])
                 else:
@@ -1181,12 +996,10 @@ class _CSimulator(Simulator):
     * identical lazy-cancellation accounting, ``drain_cancelled``
       return values, auto-drain thresholds, exact ``max_events``
       budgets and ``run(until=...)`` end-of-run clock behaviour;
-    * ``scheduler``/``scheduler_policy`` report the same backend the
-      Python engine would pick (the deterministic auto-adoption scan is
-      mirrored), though the C core serves every backend from one packed
-      (time, seq) heap -- the calendar queue and FIFO lanes are
-      pure-Python *performance* structures with nothing left to buy at
-      C speed (see ``_ccore.c``).
+    * ``scheduler`` reports ``"heap"``, the one backend the C core has:
+      a packed (time, seq) heap.  The calendar queue is a pure-Python
+      *performance* structure with nothing left to buy at C speed (see
+      ``_ccore.c``).
 
     Divergence, deliberate and loud: delays/times must be ints
     (``__index__``); the compiled core raises ``TypeError`` where the
@@ -1200,17 +1013,8 @@ class _CSimulator(Simulator):
                  "call_after", "cancel", "is_cancelled", "drain_cancelled",
                  "peek", "step", "run")
 
-    def __init__(self, scheduler: str = "auto", calendar_bucket_ns: int = 128,
-                 calendar_buckets: int = 8192,
-                 sanitize: Optional[bool] = None,
+    def __init__(self, sanitize: Optional[bool] = None,
                  core: Optional[str] = None) -> None:
-        if scheduler not in ("auto", "heap", "calendar"):
-            raise ValueError(f"unknown scheduler {scheduler!r} "
-                             "(expected 'heap', 'calendar' or 'auto')")
-        if calendar_bucket_ns <= 0 or calendar_bucket_ns & (calendar_bucket_ns - 1):
-            raise ValueError("calendar_bucket_ns must be a positive power of two")
-        if calendar_buckets <= 0 or calendar_buckets & (calendar_buckets - 1):
-            raise ValueError("calendar_buckets must be a positive power of two")
         ccore = _CCORE_STATE["module"]
         if ccore is None:  # direct instantiation outside the factory
             ccore = _load_ccore(build=True)
@@ -1218,11 +1022,8 @@ class _CSimulator(Simulator):
                 raise SimulationError(
                     "compiled dispatch core unavailable: "
                     f"{_CCORE_STATE['error'] or 'import failed'}")
-        policy_code = {"heap": 0, "calendar": 1, "auto": 2}[scheduler]
-        eng = ccore.Engine(SimulationError, policy_code, calendar_bucket_ns,
-                           1 if scheduler == "calendar" else 0)
+        eng = ccore.Engine(SimulationError)
         self._eng = eng
-        self._policy = scheduler
         self._sanitize = False
         self.schedule = eng.schedule
         self.schedule_at = eng.schedule_at
@@ -1247,8 +1048,8 @@ class _CSimulator(Simulator):
 
     @property
     def scheduler(self) -> str:
-        """Timer backend currently reported (``"heap"`` or ``"calendar"``)."""
-        return "calendar" if self._eng.calendar_active else "heap"
+        """Timer backend in use: always the packed heap."""
+        return "heap"
 
     @property
     def core(self) -> str:

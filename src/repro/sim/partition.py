@@ -215,7 +215,6 @@ class PartitionedFabric:  # simlint: disable=SIM004 -- built once per run, never
 
 def build_partitioned_fabric(config, topology: Topology,
                              plan: Optional[PartitionPlan] = None,
-                             scheduler: str = "auto",
                              sanitize: Optional[bool] = None,
                              ) -> PartitionedFabric:
     """Build the event fabric split over per-partition simulators.
@@ -230,8 +229,7 @@ def build_partitioned_fabric(config, topology: Topology,
     """
     plan = plan or plan_leaf_partitions(topology)
     owner = plan.node_partition()
-    sims = [Simulator(scheduler=scheduler, sanitize=sanitize)
-            for _ in range(plan.num_partitions)]
+    sims = [Simulator(sanitize=sanitize) for _ in range(plan.num_partitions)]
     base_switch = config.switch
     switches: Dict[int, Switch] = {}
     lookahead = None
@@ -487,7 +485,6 @@ class ParallelFabricSpec:  # simlint: disable=SIM004 -- built once per run, neve
     num_nodes: int
     leaf_radix: int = 4
     num_spines: int = 2
-    scheduler: str = "auto"
     injections: Tuple[Tuple[int, int, int, int], ...] = ()
     #: ``(time_ns, src, dst, action)`` admin flaps on directed links;
     #: ``action`` is ``"down"`` or ``"up"``.  Scheduled on the link's
@@ -590,9 +587,7 @@ def run_sequential_baseline(spec: ParallelFabricSpec) -> Dict[str, Any]:
     config = VeniceConfig(num_nodes=spec.num_nodes, topology="fat_tree",
                           fat_tree_leaf_radix=spec.leaf_radix,
                           fat_tree_spines=spec.num_spines)
-    system = VeniceSystem.build(config, scheduler=spec.scheduler)
-    fabric = system.build_event_fabric(
-        sim=Simulator(scheduler=spec.scheduler))
+    fabric = VeniceSystem.build(config).build_event_fabric()
     deliveries = build_spec_workload(spec, fabric.switches, fabric.links)
     fabric.sim.run_until_idle()
     counters = _collect_counters(fabric.switches, fabric.links,
@@ -603,8 +598,7 @@ def run_sequential_baseline(spec: ParallelFabricSpec) -> Dict[str, Any]:
 
 def _run_inline(spec: ParallelFabricSpec) -> Dict[str, Any]:
     topology = spec.build_topology()
-    fabric = build_partitioned_fabric(_fabric_config(), topology,
-                                      scheduler=spec.scheduler)
+    fabric = build_partitioned_fabric(_fabric_config(), topology)
     deliveries = build_spec_workload(spec, fabric.switches, fabric.links)
     runner = PartitionedSim(fabric)
     runner.run_until_idle()
@@ -637,8 +631,7 @@ def _worker_main(conn, spec: ParallelFabricSpec,
     never advances the simulators of partitions it was not assigned.
     """
     topology = spec.build_topology()
-    fabric = build_partitioned_fabric(_fabric_config(), topology,
-                                      scheduler=spec.scheduler)
+    fabric = build_partitioned_fabric(_fabric_config(), topology)
     deliveries = build_spec_workload(spec, fabric.switches, fabric.links)
     assigned_set = set(assigned)
     my_sims = [(pid, fabric.sims[pid]) for pid in assigned]

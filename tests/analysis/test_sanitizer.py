@@ -5,11 +5,12 @@ class level (``__slots__`` forbids instance patching) and assert the
 sanitizer catches each one -- the sanitizer's own regression suite.
 """
 
+from dataclasses import dataclass
 from heapq import heappush
+from typing import List, Optional, Tuple
 
 import pytest
 
-from repro.analysis.lockstep import lockstep_cross_check
 from repro.core.config import VeniceConfig
 from repro.core.system import VeniceSystem
 from repro.fabric.datalink import DataLink, DataLinkConfig
@@ -48,14 +49,16 @@ def test_dispatch_trace_requires_sanitize(monkeypatch):
         Simulator().enable_dispatch_trace()
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_sanitized_run_dispatches_in_total_order(scheduler):
-    sim = Simulator(scheduler=scheduler, sanitize=True)
+@pytest.mark.parametrize("timer_backend", ["heap", "calendar"],
+                         indirect=True)
+def test_sanitized_run_dispatches_in_total_order(timer_backend):
+    sim = Simulator(sanitize=True)
     trace = sim.enable_dispatch_trace()
     fired = []
     for delay in (500, 100, 300, 100, 700, 200):
         sim.call_after(delay, fired.append)
     sim.run()
+    assert sim.scheduler == timer_backend
     assert len(trace) == 6
     keys = [(time, seq) for time, seq, _name in trace]
     assert keys == sorted(keys)
@@ -67,13 +70,13 @@ def test_sanitized_run_dispatches_in_total_order(scheduler):
 # Mutation 1: backwards clock
 # ----------------------------------------------------------------------
 def test_mutation_backwards_clock_detected():
-    sim = Simulator(scheduler="heap", sanitize=True)
+    sim = Simulator(sanitize=True)
     sim.call_after(100, _noop)
     sim.run()
     assert sim.now == 100
     # Mutation: a corrupted component bypasses schedule() and plants a
     # raw timer entry behind the current clock.
-    heappush(sim._queue, [50, 10 ** 9, _noop, None, True, None])  # simlint: disable=SIM007 -- deliberate white-box corruption
+    heappush(sim._queue, [50, 10 ** 9, _noop, None, True])  # simlint: disable=SIM007 -- deliberate white-box corruption
     with pytest.raises(SanitizerError, match="backwards clock"):
         sim.run()
 
@@ -84,10 +87,10 @@ def test_unsanitized_run_misses_backwards_clock(monkeypatch):
     monkeypatch.delenv("SIM_SANITIZE", raising=False)
     # core="py": the corruption is planted by reaching into the Python
     # engine's raw heap list, which the compiled core does not have.
-    sim = Simulator(scheduler="heap", core="py")
+    sim = Simulator(core="py")
     sim.call_after(100, _noop)
     sim.run()
-    heappush(sim._queue, [50, 10 ** 9, _noop, None, True, None])  # simlint: disable=SIM007 -- deliberate white-box corruption
+    heappush(sim._queue, [50, 10 ** 9, _noop, None, True])  # simlint: disable=SIM007 -- deliberate white-box corruption
     sim.run()
     # The clock silently jumped backwards -- the corruption the
     # sanitizer turns into a hard error.
@@ -242,6 +245,77 @@ def test_transport_lifecycle_audit_detects_handler_leak():
 # ----------------------------------------------------------------------
 # Lockstep heap-vs-calendar cross-check
 # ----------------------------------------------------------------------
+#: One dispatch-trace record: (time, seq, callback qualname).
+TraceEntry = Tuple[int, int, str]
+
+
+@dataclass(frozen=True)
+class Divergence:
+    """First dispatch where the heap and calendar traces disagree."""
+
+    index: int
+    heap_entry: Optional[TraceEntry]
+    calendar_entry: Optional[TraceEntry]
+
+    def render(self) -> str:
+        def fmt(entry: Optional[TraceEntry]) -> str:
+            if entry is None:
+                return "<stream ended>"
+            time, seq, name = entry
+            return f"t={time} seq={seq} {name}"
+        return (f"dispatch #{self.index}: "
+                f"heap {fmt(self.heap_entry)} != "
+                f"calendar {fmt(self.calendar_entry)}")
+
+
+@dataclass
+class CrossCheckResult:
+    """Outcome of one lockstep run."""
+
+    events_heap: int
+    events_calendar: int
+    divergence: Optional[Divergence]
+
+    @property
+    def ok(self) -> bool:
+        return self.divergence is None
+
+
+def lockstep_cross_check(pin_backend, build) -> CrossCheckResult:
+    """Run ``build``'s workload on both backends and diff dispatch order.
+
+    An end-state diff says nothing about *where* two backends diverge;
+    the first dispatch where the traces disagree is where the bug is.
+    ``build`` receives a fresh sanitizing simulator (pinned to each
+    backend in turn by ``pin_backend``) and must set up the workload;
+    it is called twice, so any state it closes over is shared between
+    the runs.  Traces record callback *qualnames*, so logically
+    identical callbacks from the two builds compare equal.
+    """
+    traces: List[List[TraceEntry]] = []
+    counts: List[int] = []
+    for backend in ("heap", "calendar"):
+        pin_backend(backend)
+        sim = Simulator(sanitize=True)
+        trace = sim.enable_dispatch_trace()
+        build(sim)
+        sim.run()
+        traces.append(trace)
+        counts.append(sim.events_processed)
+    heap_trace, calendar_trace = traces
+    divergence = None
+    for index in range(max(len(heap_trace), len(calendar_trace))):
+        heap_entry = heap_trace[index] if index < len(heap_trace) else None
+        cal_entry = (calendar_trace[index]
+                     if index < len(calendar_trace) else None)
+        if heap_entry != cal_entry:
+            divergence = Divergence(index=index, heap_entry=heap_entry,
+                                    calendar_entry=cal_entry)
+            break
+    return CrossCheckResult(events_heap=counts[0], events_calendar=counts[1],
+                            divergence=divergence)
+
+
 def _timer_and_credit_workload(sim):
     pool = CreditPool(sim, initial=2, maximum=4)
     for delay in (300, 100, 700, 100, 500):
@@ -264,8 +338,8 @@ def _fabric_workload(sim):
 
 @pytest.mark.parametrize("build", [_timer_and_credit_workload,
                                    _fabric_workload])
-def test_lockstep_identical_across_schedulers(build):
-    result = lockstep_cross_check(build)
+def test_lockstep_identical_across_schedulers(build, pin_backend):
+    result = lockstep_cross_check(pin_backend, build)
     assert result.ok, result.divergence.render()
     assert result.events_heap == result.events_calendar > 0
 
@@ -286,15 +360,15 @@ def _other_noop(_value=None):
     return None
 
 
-def test_lockstep_reports_first_divergence():
-    result = lockstep_cross_check(_diverging_build_factory())
+def test_lockstep_reports_first_divergence(pin_backend):
+    result = lockstep_cross_check(pin_backend, _diverging_build_factory())
     assert not result.ok
     assert result.divergence.index == 0
     rendered = result.divergence.render()
     assert "_noop" in rendered and "_other_noop" in rendered
 
 
-def test_lockstep_reports_length_divergence():
+def test_lockstep_reports_length_divergence(pin_backend):
     seen = []
 
     def build(sim):
@@ -303,7 +377,7 @@ def test_lockstep_reports_length_divergence():
             sim.call_after(20, _noop)
         seen.append(sim)
 
-    result = lockstep_cross_check(build)
+    result = lockstep_cross_check(pin_backend, build)
     assert not result.ok
     assert result.divergence.index == 1
     assert result.divergence.heap_entry is None

@@ -30,8 +30,8 @@ LINE = 64
 PAGE = 4096
 
 
-def _event_platform(scheduler="auto"):
-    return ExperimentPlatform(backend="event", scheduler=scheduler)
+def _event_platform():
+    return ExperimentPlatform(backend="event")
 
 
 def _op_table(platform):
@@ -144,10 +144,15 @@ def test_event_backend_rejects_closed_form_only_stream_knobs():
 # ----------------------------------------------------------------------
 # Determinism
 # ----------------------------------------------------------------------
-def test_event_measurements_identical_across_runs_and_schedulers():
-    baseline = _op_table(_event_platform("heap"))
-    for scheduler in ("heap", "calendar"):
-        assert _op_table(_event_platform(scheduler)) == baseline
+def test_event_measurements_identical_across_runs_and_schedulers(
+        pin_backend):
+    pin_backend("heap")
+    baseline = _op_table(_event_platform())
+    for backend in ("heap", "calendar"):
+        pin_backend(backend)
+        platform = _event_platform()
+        assert _op_table(platform) == baseline
+        assert platform.event_transport().sim.scheduler == backend
 
 
 def test_contended_measurements_deterministic():

@@ -19,10 +19,10 @@ from repro.experiments.common import ExperimentPlatform
 LINE = 64
 
 
-def _event_system(num_nodes=8, topology="fat_tree", scheduler="auto"):
+def _event_system(num_nodes=8, topology="fat_tree"):
     return VeniceSystem.build(
         VeniceConfig(num_nodes=num_nodes, topology=topology),
-        transport_backend="event", scheduler=scheduler)
+        transport_backend="event")
 
 
 # ----------------------------------------------------------------------
@@ -94,9 +94,9 @@ def test_concurrent_ops_on_shared_route_queue_behind_each_other():
 # ----------------------------------------------------------------------
 # Determinism across scheduler backends
 # ----------------------------------------------------------------------
-def _concurrent_batch_fingerprint(scheduler):
-    system = _event_system(num_nodes=8, topology="star",
-                           scheduler=scheduler)
+def _concurrent_batch_fingerprint(pin_backend, backend):
+    pin_backend(backend)
+    system = _event_system(num_nodes=8, topology="star")
     transport = system.event_transport()
     ops = []
     for index in range(6):
@@ -105,6 +105,7 @@ def _concurrent_batch_fingerprint(scheduler):
         ops.append(system.crma_channel(src, dst).submit_read(LINE))
         ops.append(system.qpair_channel(src, dst).submit_round_trip(16, LINE))
     transport.drive_all(ops)
+    assert transport.sim.scheduler == backend
     fabric = transport.fabric
     return json.dumps({
         "results": [op.result_ns for op in ops],
@@ -117,9 +118,9 @@ def _concurrent_batch_fingerprint(scheduler):
     }, sort_keys=True)
 
 
-def test_concurrent_dispatch_identical_across_schedulers():
-    baseline = _concurrent_batch_fingerprint("heap")
-    assert _concurrent_batch_fingerprint("calendar") == baseline
+def test_concurrent_dispatch_identical_across_schedulers(pin_backend):
+    baseline = _concurrent_batch_fingerprint(pin_backend, "heap")
+    assert _concurrent_batch_fingerprint(pin_backend, "calendar") == baseline
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,6 @@ handlers so the lifecycle books still balance, and
 backoff.
 """
 
-import os
-
 import pytest
 
 from repro.core.channels.backend import (
@@ -26,9 +24,7 @@ LINE = 64
 
 def _pair_system(sanitize=None):
     return VeniceSystem.build(
-        VeniceConfig.pair(), transport_backend="event",
-        scheduler=os.environ.get("SIM_SCHEDULER", "auto"),
-        sanitize=sanitize)
+        VeniceConfig.pair(), transport_backend="event", sanitize=sanitize)
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ repeats and across timer backends for a fixed campaign seed.
 """
 
 import json
-import os
 
 import pytest
 
@@ -26,8 +25,7 @@ SERIES = ("goodput_ops_per_ms", "throughput_degradation_percent",
 
 def _small_config(**overrides):
     settings = dict(node_counts=(8,), fault_scales=(1,),
-                    horizon_ns=2_000_000,
-                    scheduler=os.environ.get("SIM_SCHEDULER", "auto"))
+                    horizon_ns=2_000_000)
     settings.update(overrides)
     return ClusterChurnConfig(**settings)
 
@@ -47,8 +45,6 @@ def test_config_validation():
         ClusterChurnConfig(horizon_ns=0)
     with pytest.raises(ValueError):
         ClusterChurnConfig(deadline_ns=0)
-    with pytest.raises(ValueError):
-        ClusterChurnConfig(scheduler="fifo")
     config = ClusterChurnConfig(node_counts=(16, 8, 16),
                                 fault_scales=(2, 1, 2))
     assert config.node_counts == (8, 16)
@@ -78,11 +74,11 @@ def test_stats_dump_is_deterministic_across_repeats():
     assert first == second
 
 
-def test_stats_dump_identical_across_timer_backends():
-    heap = churn_stats_dump(_small_config(scheduler="heap"),
-                            num_nodes=8, scale=1)
-    calendar = churn_stats_dump(_small_config(scheduler="calendar"),
-                                num_nodes=8, scale=1)
+def test_stats_dump_identical_across_timer_backends(pin_backend):
+    pin_backend("heap")
+    heap = churn_stats_dump(_small_config(), num_nodes=8, scale=1)
+    pin_backend("calendar")
+    calendar = churn_stats_dump(_small_config(), num_nodes=8, scale=1)
     assert heap == calendar
 
 

@@ -25,10 +25,13 @@ def _config(**overrides):
     return MnFailoverConfig(**overrides)
 
 
-def test_failover_run_is_byte_identical_across_timer_backends():
-    heap = mn_failover_stats_dump(_config(scheduler="heap"))
-    calendar = mn_failover_stats_dump(_config(scheduler="calendar"))
-    repeat = mn_failover_stats_dump(_config(scheduler="heap"))
+def test_failover_run_is_byte_identical_across_timer_backends(pin_backend):
+    pin_backend("heap")
+    heap = mn_failover_stats_dump(_config())
+    pin_backend("calendar")
+    calendar = mn_failover_stats_dump(_config())
+    pin_backend("heap")
+    repeat = mn_failover_stats_dump(_config())
     assert heap == calendar
     assert heap == repeat
 

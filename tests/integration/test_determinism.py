@@ -7,7 +7,8 @@ returns) must preserve event ordering exactly: the same
 byte-identical statistics, run after run -- and **across timer
 backends**: the calendar queue dispatches in exactly the same
 (time, seq) order as the binary heap, so their stats dumps must match
-byte for byte too.  These tests drive a 16-node star sweep over the
+byte for byte too (the ``pin_backend`` fixture forces each backend on
+the Python engine).  These tests drive a 16-node star sweep over the
 full event fabric -- the heaviest deterministic workload in the suite
 -- and compare canonical JSON dumps of every component's statistics.
 """
@@ -31,9 +32,9 @@ STAR16 = ClusterContentionConfig(
 )
 
 
-def star16_dump(seed: int, contended: bool = True, scheduler: str = "auto",
+def star16_dump(seed: int, contended: bool = True,
                 closed_loop: bool = False) -> str:
-    config = replace(STAR16, scheduler=scheduler, closed_loop=closed_loop)
+    config = replace(STAR16, closed_loop=closed_loop)
     cluster = Cluster(ClusterConfig(num_nodes=16, topology="star"))
     probes = _probe_plan(cluster, config, DeterministicRNG(seed))
     run = _FabricRun(cluster, config, probes, contended=contended,
@@ -52,22 +53,28 @@ def test_same_seed_star16_uncontended_is_byte_identical():
         seed=7, contended=False)
 
 
-def test_heap_and_calendar_backends_are_byte_identical():
+def _per_backend(pin_backend, **kwargs):
+    dumps = []
+    for backend in ("heap", "calendar"):
+        pin_backend(backend)
+        dumps.append(star16_dump(seed=7, **kwargs))
+    return dumps
+
+
+def test_heap_and_calendar_backends_are_byte_identical(pin_backend):
     # The calendar queue must preserve exact (time, seq) dispatch order:
     # the same seed under either backend yields the same stats dump.
-    heap = star16_dump(seed=7, scheduler="heap")
-    calendar = star16_dump(seed=7, scheduler="calendar")
+    heap, calendar = _per_backend(pin_backend)
     assert heap == calendar
 
 
-def test_heap_and_calendar_backends_identical_uncontended():
-    assert star16_dump(seed=7, contended=False, scheduler="heap") == \
-        star16_dump(seed=7, contended=False, scheduler="calendar")
+def test_heap_and_calendar_backends_identical_uncontended(pin_backend):
+    heap, calendar = _per_backend(pin_backend, contended=False)
+    assert heap == calendar
 
 
-def test_heap_and_calendar_backends_identical_closed_loop():
-    heap = star16_dump(seed=7, scheduler="heap", closed_loop=True)
-    calendar = star16_dump(seed=7, scheduler="calendar", closed_loop=True)
+def test_heap_and_calendar_backends_identical_closed_loop(pin_backend):
+    heap, calendar = _per_backend(pin_backend, closed_loop=True)
     assert heap == calendar
 
 

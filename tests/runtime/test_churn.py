@@ -8,8 +8,6 @@ Detection is *measured*: a crashed node is found by the heartbeat pump
 within one timeout plus a couple of pump periods, never instantly.
 """
 
-import os
-
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
@@ -24,15 +22,10 @@ from repro.runtime.fault import FaultHandler
 from repro.runtime.tables import LinkStatus
 
 
-def _scheduler():
-    return os.environ.get("SIM_SCHEDULER", "auto")
-
-
-def _cluster(num_nodes=4, topology="star", scheduler=None):
+def _cluster(num_nodes=4, topology="star"):
     return Cluster(ClusterConfig(
         num_nodes=num_nodes, topology=topology,
-        transport_backend="event",
-        scheduler=scheduler or _scheduler()))
+        transport_backend="event"))
 
 
 def _engine(cluster, config):
@@ -241,9 +234,9 @@ def test_detection_fires_the_failure_hook_exactly_once():
 # ----------------------------------------------------------------------
 # Cross-backend determinism of the engine itself
 # ----------------------------------------------------------------------
-def _campaign_outcome(scheduler):
-    cluster = _cluster(num_nodes=8, topology="fat_tree",
-                       scheduler=scheduler)
+def _campaign_outcome(pin_backend, backend):
+    pin_backend(backend)
+    cluster = _cluster(num_nodes=8, topology="fat_tree")
     config = ChurnConfig(seed=13, horizon_ns=2_000_000, link_flaps=2,
                          router_failures=1, node_crashes=1,
                          flap_duration_ns=300_000, router_down_ns=300_000,
@@ -258,8 +251,9 @@ def _campaign_outcome(scheduler):
     return engine.stats_dict()
 
 
-def test_engine_stats_identical_across_timer_backends():
-    assert _campaign_outcome("heap") == _campaign_outcome("calendar")
+def test_engine_stats_identical_across_timer_backends(pin_backend):
+    assert _campaign_outcome(pin_backend, "heap") == \
+        _campaign_outcome(pin_backend, "calendar")
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +292,7 @@ def test_churn_config_validates_mn_crash_down():
 def test_engine_crashes_promotes_and_rejoins_monitor_shards():
     cluster = Cluster(ClusterConfig(
         num_nodes=8, topology="fat_tree", monitor_shards=2,
-        transport_backend="event", scheduler=_scheduler()))
+        transport_backend="event"))
     monitor = cluster.monitor
     shares = [share for batch in cluster.matchmaker.borrow_many(
         [(node, 1024 * 1024) for node in cluster.node_ids])

@@ -18,7 +18,7 @@ import pytest
 from repro.cluster import Cluster, ClusterConfig
 from repro.fabric.topology import build_fat_tree, build_star
 from repro.runtime.agent import NodeAgent
-from repro.runtime.monitor import AllocationError
+from repro.runtime.monitor import AllocationError, BatchPlanError
 from repro.runtime.shard import (
     ShardedMonitor,
     ShardUnavailableError,
@@ -128,6 +128,21 @@ def test_batch_plan_requeues_untouched_tickets_on_shortfall():
     entries = monitor.plan_queued_requests()
     assert [entry.ticket for entry in entries] == [ok, later]
     assert bad not in [entry.ticket for entry in entries]
+
+
+def test_batch_plan_failure_names_the_failed_ticket_not_the_requesters_first():
+    # Two queued requests from the same node: the failure must name the
+    # one that cannot be served, not the first one from that requester.
+    monitor = make_sharded(num_nodes=8, num_shards=2)
+    good = monitor.queue_memory_request(0, 8 * MB)
+    bad = monitor.queue_memory_request(0, 10 ** 12)
+    with pytest.raises(BatchPlanError) as info:
+        monitor.plan_queued_requests()
+    assert info.value.failed_ticket == bad
+    assert info.value.failed_request.ticket == bad
+    assert info.value.requeued_tickets == [good]
+    entries = monitor.plan_queued_requests()
+    assert [entry.ticket for entry in entries] == [good]
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,10 @@ and event counts -- for any mix of delays.  These tests drive both
 backends with randomized delay mixes (property-style, seeded) and
 compare the full dispatch traces, plus targeted cases for the calendar
 internals: same-day insertion during dispatch, empty-rotation gaps, the
-sparse long-horizon fallback, cancellation, and the ``auto`` adoption
-heuristic.
+sparse long-horizon fallback, cancellation, and the automatic
+adoption rule.  The ``pin_backend`` fixture forces a backend by
+patching the adoption rule's constants; a pinned calendar is adopted at
+the first ``run()`` with a timer pending.
 """
 
 import pytest
@@ -16,14 +18,15 @@ from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import DeterministicRNG
 
 
-def dispatch_trace(scheduler: str, plan):
+def dispatch_trace(pin_backend, backend: str, plan):
     """Run a schedule plan and return the observed dispatch trace.
 
     ``plan`` is a list of (at, delay, tag, chain_delays) tuples: at time
     ``at`` schedule a callback after ``delay`` which records ``tag`` and
     chains further callbacks at each delay in ``chain_delays``.
     """
-    sim = Simulator(scheduler=scheduler)
+    pin_backend(backend)
+    sim = Simulator()
     trace = []
 
     def fire(tag, chain):
@@ -40,6 +43,7 @@ def dispatch_trace(scheduler: str, plan):
         if delay:
             sim.schedule(delay, fire, f"{tag}.d", ())
     sim.run_until_idle()
+    assert sim.scheduler == backend
     return trace, sim.now, sim.events_processed
 
 
@@ -60,26 +64,29 @@ def random_plan(seed: int, events: int = 300):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_randomized_delay_mixes_dispatch_identically(seed):
+def test_randomized_delay_mixes_dispatch_identically(seed, pin_backend):
     plan = random_plan(seed)
-    heap = dispatch_trace("heap", plan)
-    calendar = dispatch_trace("calendar", plan)
+    heap = dispatch_trace(pin_backend, "heap", plan)
+    calendar = dispatch_trace(pin_backend, "calendar", plan)
     assert heap == calendar
 
 
-def test_same_time_events_keep_scheduling_order_on_calendar():
-    sim = Simulator(scheduler="calendar")
+def test_same_time_events_keep_scheduling_order_on_calendar(pin_backend):
+    pin_backend("calendar")
+    sim = Simulator()
     order = []
     for index in range(10):
         sim.schedule(50, order.append, index)
     sim.run_until_idle()
+    assert sim.scheduler == "calendar"
     assert order == list(range(10))
 
 
-def test_same_day_insertion_during_dispatch_stays_ordered():
+def test_same_day_insertion_during_dispatch_stays_ordered(pin_backend):
     # A callback inserts a new timer 20 ns ahead -- almost always into
     # the bucket currently being dispatched, exercising the insort path.
-    sim = Simulator(scheduler="calendar")
+    pin_backend("calendar")
+    sim = Simulator()
     order = []
 
     def parent(_v=None):
@@ -94,8 +101,9 @@ def test_same_day_insertion_during_dispatch_stays_ordered():
     assert sim.now == 90
 
 
-def test_timer_due_now_runs_before_ready_entries_on_calendar():
-    sim = Simulator(scheduler="calendar")
+def test_timer_due_now_runs_before_ready_entries_on_calendar(pin_backend):
+    pin_backend("calendar")
+    sim = Simulator()
     order = []
     sim.schedule(10, order.append, "timer-parent")
 
@@ -108,10 +116,11 @@ def test_timer_due_now_runs_before_ready_entries_on_calendar():
     assert order == ["timer-parent", "parent", "child"]
 
 
-def test_long_horizon_sparse_fallback():
+def test_long_horizon_sparse_fallback(pin_backend):
     # Delays far beyond one full rotation (8192 buckets x 128 ns ~ 1 ms)
     # must still dispatch in order via the direct-minimum fallback.
-    sim = Simulator(scheduler="calendar")
+    pin_backend("calendar")
+    sim = Simulator()
     order = []
     sim.schedule(50_000_000, order.append, "far")
     sim.schedule(10_000_000, order.append, "near")
@@ -121,10 +130,13 @@ def test_long_horizon_sparse_fallback():
     assert sim.now == 50_000_000
 
 
-def test_cancellation_and_drain_on_calendar():
-    sim = Simulator(scheduler="calendar")
+def test_cancellation_and_drain_on_calendar(pin_backend):
+    pin_backend("calendar")
+    sim = Simulator()
     fired = []
     keep = sim.schedule(1000, fired.append, "keep")
+    sim.run(until=0)  # adopts the calendar, dispatches nothing
+    assert sim.scheduler == "calendar"
     drop = [sim.schedule(2000 + index, fired.append, "drop") for index in range(50)]
     for handle in drop:
         sim.cancel(handle)
@@ -139,28 +151,31 @@ def test_cancellation_and_drain_on_calendar():
     assert fired == ["keep"]
 
 
-def test_mid_run_drain_count_matches_heap_backend():
+def test_mid_run_drain_count_matches_heap_backend(pin_backend):
     # drain_cancelled() called from a callback mid-run must report the
     # same removal count on both backends -- the calendar's current-run
     # cursor lives in a loop local, so the count cannot be a len() delta.
     counts = {}
-    for scheduler in ("heap", "calendar"):
-        sim = Simulator(scheduler=scheduler)
+    for backend in ("heap", "calendar"):
+        pin_backend(backend)
+        sim = Simulator()
         for delay in range(10, 15):
             sim.schedule(delay, lambda: None)
         victim = sim.schedule(100, lambda: None)
 
-        def actor(_v=None, sim=sim, victim=victim, scheduler=scheduler):
+        def actor(_v=None, sim=sim, victim=victim, backend=backend):
             sim.cancel(victim)
-            counts[scheduler] = sim.drain_cancelled()
+            counts[backend] = sim.drain_cancelled()
 
         sim.schedule(50, actor)
         sim.run_until_idle()
+        assert sim.scheduler == backend
     assert counts == {"heap": 1, "calendar": 1}
 
 
-def test_cancel_inside_current_run_is_skipped():
-    sim = Simulator(scheduler="calendar")
+def test_cancel_inside_current_run_is_skipped(pin_backend):
+    pin_backend("calendar")
+    sim = Simulator()
     fired = []
     victim = sim.schedule(60, fired.append, "victim")
 
@@ -173,12 +188,15 @@ def test_cancel_inside_current_run_is_skipped():
     assert fired == ["survivor"]
 
 
-def test_peek_and_step_on_calendar():
-    sim = Simulator(scheduler="calendar")
+def test_peek_and_step_on_calendar(pin_backend):
+    pin_backend("calendar")
+    sim = Simulator()
     fired = []
     assert sim.peek() is None
     sim.schedule(42, fired.append, 1)
     sim.schedule(99, fired.append, 2)
+    sim.run(until=0)  # adopts the calendar, dispatches nothing
+    assert sim.scheduler == "calendar"
     assert sim.peek() == 42
     assert sim.step() is True
     assert fired == [1]
@@ -187,10 +205,11 @@ def test_peek_and_step_on_calendar():
     assert sim.step() is False
 
 
-def test_run_until_deadline_then_reschedule_earlier_day():
+def test_run_until_deadline_then_reschedule_earlier_day(pin_backend):
     # Stop at a deadline, then schedule before the day the calendar had
     # already advanced to; the new entry must still dispatch first.
-    sim = Simulator(scheduler="calendar")
+    pin_backend("calendar")
+    sim = Simulator()
     order = []
     sim.schedule(500_000, order.append, "late")
     sim.run(until=1000)
@@ -200,8 +219,9 @@ def test_run_until_deadline_then_reschedule_earlier_day():
     assert order == ["early", "late"]
 
 
-def test_max_events_budget_exact_on_calendar():
-    sim = Simulator(scheduler="calendar")
+def test_max_events_budget_exact_on_calendar(pin_backend):
+    pin_backend("calendar")
+    sim = Simulator()
     fired = []
     for index in range(5):
         sim.schedule(10 + index * 10, fired.append, index)
@@ -212,35 +232,27 @@ def test_max_events_budget_exact_on_calendar():
     assert fired == [0, 1, 2, 3, 4]
 
 
-def test_invalid_scheduler_configs_rejected():
-    with pytest.raises(ValueError):
-        Simulator(scheduler="wheel")
-    with pytest.raises(ValueError):
-        Simulator(calendar_bucket_ns=100)  # not a power of two
-    with pytest.raises(ValueError):
-        Simulator(calendar_buckets=1000)  # not a power of two
-
-
 def test_auto_policy_adopts_calendar_for_dense_timers():
-    sim = Simulator(scheduler="auto")
+    sim = Simulator(core="py")
     assert sim.scheduler == "heap"
     for index in range(1000):
         sim.schedule(1 + (index % 500), lambda: None)
     sim.run_until_idle()
     assert sim.scheduler == "calendar"
-    assert sim.scheduler_policy == "auto"
 
 
 def test_auto_policy_keeps_heap_for_sparse_timers():
-    sim = Simulator(scheduler="auto")
+    sim = Simulator(core="py")
     for index in range(1000):
         sim.schedule(1 + index * 1_000_000, lambda: None)
     sim.run_until_idle()
     assert sim.scheduler == "heap"
 
 
-def test_explicit_heap_policy_never_adopts():
-    sim = Simulator(scheduler="heap")
+def test_explicit_heap_policy_never_adopts(pin_backend):
+    # The tests-only heap pin must hold even for a dense population.
+    pin_backend("heap")
+    sim = Simulator()
     for index in range(1000):
         sim.schedule(1 + (index % 500), lambda: None)
     sim.run_until_idle()
@@ -248,7 +260,7 @@ def test_explicit_heap_policy_never_adopts():
 
 
 def test_adoption_migrates_pending_entries_and_handles():
-    sim = Simulator(scheduler="auto")
+    sim = Simulator(core="py")
     fired = []
     handles = [sim.schedule(1 + (index % 600), fired.append, index)
                for index in range(800)]

@@ -5,10 +5,11 @@ Three layers of assurance for ``repro.sim._ccore``:
 * randomized property tests -- a seeded storm of schedules, cancels
   and callback-driven rescheduling must produce the exact same
   dispatch trace and accounting on the C core as on the pure-Python
-  reference engine, under both timer backends;
+  reference engine, with the Python engine pinned to either timer
+  backend;
 * the determinism matrix -- the star16 contended sweep (the heaviest
   deterministic workload in the suite) dumps byte-identical statistics
-  for every (core, scheduler) combination;
+  on the C core and on the Python engine under either backend;
 * fallback policy -- a missing extension must degrade to the Python
   engine *silently* under ``core="auto"`` (the no-compiler scenario),
   a broken extension warns exactly once, and an explicit ``core="c"``
@@ -37,14 +38,14 @@ requires_ccore = pytest.mark.skipif(
 # ----------------------------------------------------------------------
 # Randomized property tests: C core vs the reference Python heap
 # ----------------------------------------------------------------------
-def _storm_trace(core: str, seed: int, scheduler: str) -> dict:
+def _storm_trace(core: str, seed: int) -> dict:
     """Drive one seeded schedule/cancel storm; return its full trace.
 
     The RNG is consumed inside callbacks too, so the streams only stay
     aligned between two runs if the engines dispatch in the exact same
     total order -- any divergence cascades into a loud trace mismatch.
     """
-    sim = Simulator(scheduler=scheduler, core=core)
+    sim = Simulator(core=core)
     rng = random.Random(seed)
     tags = itertools.count()
     trace = []
@@ -67,8 +68,8 @@ def _storm_trace(core: str, seed: int, scheduler: str) -> dict:
 
     for _ in range(150):
         handles.append(sim.schedule(rng.randrange(0, 1000), fire, next(tags)))
-    # A burst of repeated delays exercises the Python engine's FIFO
-    # lanes (the C core must match their order without having any).
+    # A burst of one repeated delay: 80 timers due at the same instant
+    # must keep their scheduling order on every backend.
     for _ in range(80):
         handles.append(sim.call_after(64, fire, next(tags)))
     executed = sim.run()
@@ -82,18 +83,13 @@ def _storm_trace(core: str, seed: int, scheduler: str) -> dict:
 
 
 @requires_ccore
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+@pytest.mark.parametrize("timer_backend", ["heap", "calendar"],
+                         indirect=True)
 @pytest.mark.parametrize("seed", [1, 7, 2016])
-def test_storm_matches_reference_engine(scheduler, seed):
-    reference = _storm_trace("py", seed, scheduler)
-    compiled = _storm_trace("c", seed, scheduler)
+def test_storm_matches_reference_engine(timer_backend, seed):
+    reference = _storm_trace("py", seed)
+    compiled = _storm_trace("c", seed)
     assert compiled == reference
-
-
-@requires_ccore
-def test_storm_heap_and_calendar_agree_on_c_core():
-    assert _storm_trace("c", 7, "heap")["trace"] == \
-        _storm_trace("c", 7, "calendar")["trace"]
 
 
 @requires_ccore
@@ -145,9 +141,9 @@ def test_run_until_and_max_events_budgets_match():
 
 
 # ----------------------------------------------------------------------
-# Determinism matrix: (core x scheduler) over the star16 sweep
+# Determinism matrix: (core x Python backend) over the star16 sweep
 # ----------------------------------------------------------------------
-def _star16_dump(scheduler: str) -> str:
+def _star16_dump() -> str:
     from repro.cluster import Cluster, ClusterConfig
     from repro.experiments.fig_cluster_contention import (
         ClusterContentionConfig, _FabricRun, _probe_plan)
@@ -155,7 +151,7 @@ def _star16_dump(scheduler: str) -> str:
 
     config = ClusterContentionConfig(
         node_counts=(16,), topology="star", probes_per_node=2,
-        cross_traffic_per_node=6, scheduler=scheduler)
+        cross_traffic_per_node=6)
     cluster = Cluster(ClusterConfig(num_nodes=16, topology="star"))
     probes = _probe_plan(cluster, config, DeterministicRNG(7))
     run = _FabricRun(cluster, config, probes, contended=True,
@@ -164,12 +160,12 @@ def _star16_dump(scheduler: str) -> str:
 
 
 @requires_ccore
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_star16_dump_byte_identical_across_cores(scheduler, monkeypatch):
-    monkeypatch.setenv("SIM_CORE", "py")
-    pure = _star16_dump(scheduler)
+@pytest.mark.parametrize("timer_backend", ["heap", "calendar"],
+                         indirect=True)
+def test_star16_dump_byte_identical_across_cores(timer_backend, monkeypatch):
+    pure = _star16_dump()  # the pin routes core="auto" to Python
     monkeypatch.setenv("SIM_CORE", "c")
-    compiled = _star16_dump(scheduler)
+    compiled = _star16_dump()
     assert pure == compiled
 
 
@@ -288,9 +284,16 @@ def test_auto_prefers_compiled_core():
 
 
 @requires_ccore
-def test_scheduler_reporting_matches_python_engine():
-    # The C core serves both backends from one packed heap but must
-    # *report* the same backend the Python engine would adopt.
-    for scheduler in ("heap", "calendar"):
-        assert Simulator(core="c", scheduler=scheduler).scheduler == \
-            Simulator(core="py", scheduler=scheduler).scheduler
+def test_c_core_reports_heap_while_python_adopts_calendar_for_a_storm():
+    # A packet-storm-shaped population: 64 timers pre-scheduled at a
+    # 62 ns mean gap (at least 16 pending, gap within 4 x 128 ns).  The
+    # Python engine adopts the calendar for it; the C core has only its
+    # packed heap and says so.
+    reports = {}
+    for core in ("py", "c"):
+        sim = Simulator(core=core, sanitize=False)
+        for index in range(64):
+            sim.schedule(62 * (index + 1), lambda: None)
+        sim.run()
+        reports[core] = sim.scheduler
+    assert reports == {"py": "calendar", "c": "heap"}

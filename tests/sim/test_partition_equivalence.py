@@ -14,7 +14,7 @@ from repro.sim.partition import (ParallelFabricSpec, canonical_dump,
 from repro.fabric.topology import build_fat_tree, build_mesh3d
 
 
-def _staggered_spec(num_nodes=16, count=24, scheduler="auto", faults=()):
+def _staggered_spec(num_nodes=16, count=24, faults=()):
     """Cross-leaf traffic with no same-nanosecond injections."""
     injections = []
     time = 0
@@ -25,7 +25,7 @@ def _staggered_spec(num_nodes=16, count=24, scheduler="auto", faults=()):
             dst = (dst + 1) % num_nodes
         injections.append((time, src, dst, 256))
         time += 311
-    return ParallelFabricSpec(num_nodes=num_nodes, scheduler=scheduler,
+    return ParallelFabricSpec(num_nodes=num_nodes,
                               injections=tuple(injections),
                               faults=tuple(faults))
 
@@ -53,9 +53,10 @@ def test_routerless_topologies_degenerate_to_a_single_partition():
 # ----------------------------------------------------------------------
 # Byte-identical merged dumps (the tentpole acceptance criterion)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_inline_partitioned_dump_matches_monolithic(scheduler):
-    spec = _staggered_spec(scheduler=scheduler)
+@pytest.mark.parametrize("timer_backend", ["heap", "calendar"],
+                         indirect=True)
+def test_inline_partitioned_dump_matches_monolithic(timer_backend):
+    spec = _staggered_spec()
     assert plan_leaf_partitions(spec.build_topology()).num_partitions >= 2
     baseline = run_sequential_baseline(spec)
     partitioned = run_partitioned(spec, mode="inline")
@@ -65,9 +66,10 @@ def test_inline_partitioned_dump_matches_monolithic(scheduler):
     assert len(partitioned["deliveries"]) == len(spec.injections)
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_forked_partitioned_dump_matches_monolithic(scheduler):
-    spec = _staggered_spec(scheduler=scheduler)
+@pytest.mark.parametrize("timer_backend", ["heap", "calendar"],
+                         indirect=True)
+def test_forked_partitioned_dump_matches_monolithic(timer_backend):
+    spec = _staggered_spec()
     baseline = canonical_dump(run_sequential_baseline(spec))
     for workers in (2, 4):
         forked = run_partitioned(spec, workers=workers, mode="fork")
