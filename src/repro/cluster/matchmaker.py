@@ -316,14 +316,37 @@ class Matchmaker:
     # Teardown / queries
     # ------------------------------------------------------------------
     def release(self, share: ResourceShare) -> None:
-        """Tear one share down and return the resource to its donor."""
+        """Tear one share down and return the resource to its donor.
+
+        A share whose allocation the Monitor Node no longer holds -- a
+        link-down recovery that could not reroute already released it
+        -- is retired instead (:meth:`retire`).
+        """
         if share.released:
             raise ValueError("share is already released")
+        monitor = self.cluster.monitor
+        if not monitor.rat.is_active(share.allocation.record.allocation_id):
+            self.retire(share)
+            return
         if share.kind is ResourceKind.MEMORY:
             self.cluster.system.release_remote_memory(share.allocation,
                                                       share.grant)
         else:
-            self.cluster.monitor.release(share.allocation)
+            monitor.release(share.allocation)
+        share.released = True
+        self.shares.remove(share)
+
+    def retire(self, share: ResourceShare) -> None:
+        """Tear one share down, leaving the Monitor Node's books alone.
+
+        For shares whose allocation the runtime has already settled
+        (fault recovery): sharing stops, the grant is dropped and the
+        matchmaker stops tracking the share.
+        """
+        if share.released:
+            raise ValueError("share is already released")
+        if share.grant is not None:
+            self.cluster.system.retire_remote_memory(share.grant)
         share.released = True
         self.shares.remove(share)
 

@@ -27,7 +27,7 @@ from repro.core.config import ChannelPlacement, VeniceConfig
 from repro.core.node import VeniceNode
 from repro.core.sharing.remote_memory import RemoteMemoryGrant, share_memory, stop_sharing
 from repro.fabric.datalink import DataLink
-from repro.fabric.network import Switch
+from repro.fabric.network import Switch, program_routes
 from repro.fabric.phy import PhysicalLink
 from repro.fabric.router import RouterConfig
 from repro.fabric.topology import (
@@ -36,7 +36,6 @@ from repro.fabric.topology import (
     build_fat_tree,
     build_mesh3d,
     build_star,
-    dimension_order_route,
 )
 from repro.runtime.monitor import Allocation, MonitorNode
 from repro.sim.engine import Simulator
@@ -148,7 +147,7 @@ class VeniceSystem:
                      through_router: bool = False) -> FabricPath:
         """Fabric path description between two compute nodes.
 
-        Router nodes on the topology's shortest path (star hubs,
+        Router nodes on the topology's route (star hubs,
         fat-tree leaves and spines) are charged as external-router
         crossings; the remaining node-level links are the path's hops.
         ``through_router`` inserts one additional external router on top
@@ -285,9 +284,13 @@ class VeniceSystem:
     def release_remote_memory(self, allocation: Allocation,
                               grant: RemoteMemoryGrant) -> None:
         """Tear down a sharing relationship and notify the runtime."""
+        self.retire_remote_memory(grant)
+        self.monitor.release(allocation)
+
+    def retire_remote_memory(self, grant: RemoteMemoryGrant) -> None:
+        """Tear down a sharing relationship the runtime already settled."""
         stop_sharing(grant, donor_map=self.node(grant.donor_node).memory_map,
                      recipient_map=self.node(grant.recipient_node).memory_map)
-        self.monitor.release(allocation)
         self.grants.remove(grant)
 
     def remote_backend_for(self, grant: RemoteMemoryGrant) -> CrmaRemoteBackend:
@@ -304,10 +307,11 @@ class VeniceSystem:
     def build_event_fabric(self, sim: Optional[Simulator] = None) -> EventFabric:
         """Instantiate switches, links and datalinks over the topology.
 
-        Routing tables are programmed with dimension-order routes (falling
-        back to shortest paths off-mesh).  Router nodes of star/fat-tree
-        topologies get switches too, so packets relay through them; only
-        compute nodes are routing destinations.  The local sink of every
+        Routing tables are programmed from the topology's route table
+        (dimension order on meshes, breadth-first routes elsewhere).
+        Router nodes of star/fat-tree topologies get switches too, so
+        packets relay through them; only compute nodes are routing
+        destinations.  The local sink of every
         switch is left unconnected; callers attach their own packet
         consumers.
         """
@@ -329,6 +333,7 @@ class VeniceSystem:
             switches[node_id] = Switch(sim, node_id, switch_config)
         links: Dict[Tuple[int, int], PhysicalLink] = {}
         datalinks: Dict[Tuple[int, int], DataLink] = {}
+        ports: Dict[Tuple[int, int], int] = {}
         port_counters = {node_id: 1 for node_id in switches}  # port 0 = local
         for node_a, node_b in self.topology.links:
             for src, dst in ((node_a, node_b), (node_b, node_a)):
@@ -339,15 +344,8 @@ class VeniceSystem:
                 datalink.connect(switches[dst].inject)
                 links[(src, dst)] = link
                 datalinks[(src, dst)] = datalink
-                port = port_counters[src]
+                port = ports[(src, dst)] = port_counters[src]
                 port_counters[src] += 1
                 switches[src].attach_output(port, datalink)
-                # Program routes through this port for every destination
-                # whose dimension-order path leaves ``src`` towards ``dst``.
-                for destination in self.topology.compute_nodes:
-                    if destination == src:
-                        continue
-                    route = dimension_order_route(self.topology, src, destination)
-                    if len(route) > 1 and route[1] == dst:
-                        switches[src].routing_table.install(destination, port)
+        program_routes(self.topology, switches, ports)
         return EventFabric(sim=sim, switches=switches, links=links, datalinks=datalinks)

@@ -11,12 +11,15 @@ and hands the packet to the outgoing datalink (or to local ejection).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatsRegistry
 from repro.fabric.datalink import DataLink
 from repro.fabric.packet import Packet
+
+if TYPE_CHECKING:
+    from repro.fabric.topology import Topology
 
 
 class RoutingError(RuntimeError):
@@ -52,6 +55,15 @@ class RoutingTable:
         self._entries[node_id] = RoutingEntry(node_id=node_id, out_port=out_port,
                                               flow_id=flow_id)
         self.version += 1
+
+    def install_all(self, routes: Iterable[Tuple[int, int]]) -> None:
+        """Install ``(node_id, out_port)`` routes in order (one bulk write)."""
+        entries = self._entries
+        installed = 0
+        for node_id, out_port in routes:
+            entries[node_id] = RoutingEntry(node_id, out_port)
+            installed += 1
+        self.version += installed
 
     def invalidate(self, node_id: int) -> None:
         entry = self._entries.get(node_id)
@@ -218,3 +230,26 @@ class Switch:
             self.stats.counter("packets_dropped_no_sink").increment()
             return
         self._local_sink(packet)
+
+
+def program_routes(topology: "Topology", switches: Mapping[int, Switch],
+                   ports: Mapping[Tuple[int, int], int]) -> None:
+    """Install every switch's route to every compute node.
+
+    ``ports[(src, dst)]`` is the output port of ``src``'s link towards
+    ``dst``.  Each switch gets, for every compute node other than
+    itself, the port of the link to the topology's next hop -- one
+    route-table read per (switch, destination) pair.
+    """
+    destinations = topology.compute_nodes
+    for src in sorted(switches):
+        next_hops = topology.next_hops(src)
+        routes = []
+        for destination in destinations:
+            if destination == src:
+                continue
+            hop = next_hops.get(destination)
+            if hop is None:
+                topology.next_hop(src, destination)  # raises the typed error
+            routes.append((destination, ports[(src, hop)]))
+        switches[src].routing_table.install_all(routes)

@@ -3,9 +3,11 @@
 The prototype connects eight nodes in a 3D mesh (a 2x2x2 cube).  The
 latency-analysis experiments additionally use a directly connected node
 pair and a pair joined through one external router.  The
-:class:`Topology` class captures nodes, links and shortest-path hop
-counts; the Venice system builder (:mod:`repro.core.system`) uses it to
-wire switches and to program routing tables.
+:class:`Topology` class captures nodes, links and the one route per
+node pair that the fabric's routing tables and the control plane's hop
+and path queries share; the Venice system builder
+(:mod:`repro.core.system`) uses it to wire switches and to program
+routing tables.
 """
 
 from __future__ import annotations
@@ -19,7 +21,29 @@ import networkx as nx
 
 @dataclass
 class Topology:  # simlint: disable=SIM004 -- built once per experiment, never touched on the per-packet path
-    """A named interconnection topology over integer node identifiers."""
+    """A named interconnection topology over integer node identifiers.
+
+    **Routes.**  The topology defines one route per ordered node pair,
+    and every consumer reads it: the event fabric's routing tables, the
+    closed-form path shapes and the control plane's hop and path
+    queries.  On a coordinate mesh (:func:`build_mesh3d`) the route is
+    dimension order, X then Y then Z.  Everywhere else the next hop from
+    a source is fixed by one breadth-first search from that source that
+    visits neighbours in graph-adjacency order, the first discovery of a
+    node winning.  On the direct pair, the star and every fat-tree shape
+    this is the path ``networkx.shortest_path`` returns.  A route is the
+    chain of next hops the fabric follows, so the path a query returns
+    is the path packets take.
+
+    One search per source fills two int maps, ``{dst: next hop}`` and
+    ``{dst: hops}``; path lists are built and memoised only when a
+    caller asks for one.  The graph is immutable once route queries
+    begin -- builders finish the graph before returning, and fault
+    injection copies it before removing edges.  The tables are dropped
+    when the O(1) node count changes (edge counting walks the adjacency
+    in networkx); code that adds an edge between *existing* nodes after
+    querying routes must call :meth:`invalidate_path_cache`.
+    """
 
     name: str
     graph: nx.Graph = field(default_factory=nx.Graph)
@@ -27,21 +51,16 @@ class Topology:  # simlint: disable=SIM004 -- built once per experiment, never t
     coordinates: Dict[int, Tuple[int, int, int]] = field(default_factory=dict)
     #: Nodes that are routers rather than compute nodes.
     router_nodes: List[int] = field(default_factory=list)
-    #: (src, dst) -> shortest path.  The runtime layer asks for the same
-    #: few routes on every request (policy ordering, path-usability
-    #: checks), and the graph is immutable once path queries begin --
-    #: builders finish the graph before returning, and fault injection
-    #: copies it before removing edges -- so the cache turns the
-    #: sharded-MN planning hot path's repeated BFS into dict hits.
-    #: Invalidation is keyed on the O(1) node count (edge counting walks
-    #: the adjacency in networkx, which would cost more than the BFS it
-    #: saves); code that adds an edge between *existing* nodes after
-    #: querying paths must call :meth:`invalidate_path_cache`.
+    #: node -> neighbour dict, snapshot of the graph's adjacency for searches.
+    _adjacency: Dict[int, Dict[int, dict]] = field(
+        default_factory=dict, repr=False, compare=False)
+    #: src -> ({dst: next hop}, {dst: hops}), one entry per searched source.
+    _routes: Dict[int, Tuple[Dict[int, int], Dict[int, int]]] = field(
+        default_factory=dict, repr=False, compare=False)
+    #: (src, dst) -> node list of the route, built on first request.
     _path_cache: Dict[Tuple[int, int], List[int]] = field(
         default_factory=dict, repr=False, compare=False)
-    _hop_cache: Dict[Tuple[int, int], int] = field(
-        default_factory=dict, repr=False, compare=False)
-    _path_cache_stamp: int = field(default=-1, repr=False, compare=False)
+    _route_stamp: int = field(default=-1, repr=False, compare=False)
 
     @property
     def nodes(self) -> List[int]:
@@ -59,73 +78,131 @@ class Topology:  # simlint: disable=SIM004 -- built once per experiment, never t
     def neighbors(self, node: int) -> List[int]:
         return sorted(self.graph.neighbors(node))
 
+    def invalidate_path_cache(self) -> None:
+        """Drop the route tables and memoised paths after an in-place graph edit."""
+        self._adjacency.clear()
+        self._routes.clear()
+        self._path_cache.clear()
+        self._route_stamp = -1
+
+    def _table(self, src: int) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """The (next hop, hops) maps of ``src``, searched on first use."""
+        stamp = self.graph.number_of_nodes()
+        if stamp != self._route_stamp:
+            self.invalidate_path_cache()
+            self._adjacency.update(self.graph.adjacency())
+            self._route_stamp = stamp
+        table = self._routes.get(src)
+        if table is None:
+            table = self._routes[src] = self._search(src)
+        return table
+
+    def _search(self, src: int) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """One breadth-first search from ``src``; meshes then take dimension order."""
+        adjacency = self._adjacency
+        if src not in adjacency:
+            raise nx.NodeNotFound(f"Source {src} is not in G")
+        next_hops: Dict[int, int] = {}
+        hops = {src: 0}
+        frontier = [src]
+        depth = 0
+        while frontier:
+            depth += 1
+            reached = []
+            for node in frontier:
+                # A node inherits the first hop of whoever discovered it
+                # first; adjacency order breaks ties between equal paths.
+                first = next_hops.get(node)
+                for neighbor in adjacency[node]:
+                    if neighbor not in hops:
+                        hops[neighbor] = depth
+                        next_hops[neighbor] = neighbor if first is None else first
+                        reached.append(neighbor)
+            frontier = reached
+        here = self.coordinates.get(src)
+        if here is not None:
+            at = {coord: node for node, coord in self.coordinates.items()}
+            for dst, there in self.coordinates.items():
+                if dst == src:
+                    continue
+                for axis in range(3):
+                    if there[axis] != here[axis]:
+                        step = list(here)
+                        step[axis] += 1 if there[axis] > here[axis] else -1
+                        next_hops[dst] = at[tuple(step)]
+                        break
+                hops[dst] = sum(abs(a - b) for a, b in zip(here, there))
+        return next_hops, hops
+
+    def _no_route(self, src: int, dst: int) -> Exception:
+        """The networkx exception for a pair without a route."""
+        if src not in self.graph or dst not in self.graph:
+            return nx.NodeNotFound(f"Either source {src} or target {dst} is not in G")
+        return nx.NetworkXNoPath(f"No path between {src} and {dst}.")
+
+    def next_hops(self, src: int) -> Dict[int, int]:
+        """``{dst: next hop}`` from ``src``; read-only, shared with the table."""
+        return self._table(src)[0]
+
+    def hop_map(self, src: int) -> Dict[int, int]:
+        """``{dst: hops}`` from ``src`` (``src`` maps to 0); read-only, shared."""
+        return self._table(src)[1]
+
     def hop_count(self, src: int, dst: int) -> int:
-        """Number of fabric hops on the shortest path from src to dst."""
+        """Number of fabric hops on the route from src to dst."""
         if src == dst:
             return 0
-        self._check_path_stamp()
-        hops = self._hop_cache.get((src, dst))
+        hops = self._table(src)[1].get(dst)
         if hops is None:
-            hops = self._hop_cache[(src, dst)] = \
-                len(self._cached_path(src, dst)) - 1
+            raise self._no_route(src, dst)
         return hops
 
-    def invalidate_path_cache(self) -> None:
-        """Drop memoized shortest paths after an in-place graph edit."""
-        self._path_cache.clear()
-        self._hop_cache.clear()
-        self._path_cache_stamp = -1
-
-    def _check_path_stamp(self) -> None:
-        stamp = self.graph.number_of_nodes()
-        if stamp != self._path_cache_stamp:
-            self._path_cache.clear()
-            self._hop_cache.clear()
-            self._path_cache_stamp = stamp
-
-    def _cached_path(self, src: int, dst: int) -> List[int]:
-        self._check_path_stamp()
-        path = self._path_cache.get((src, dst))
-        if path is None:
-            path = nx.shortest_path(self.graph, src, dst)
-            self._path_cache[(src, dst)] = path
-        return path
-
-    def shortest_path(self, src: int, dst: int) -> List[int]:
-        """Node sequence (inclusive) of the shortest path."""
-        # Copy so callers may mutate their path without corrupting the
-        # cache; the copy is a few elements against a saved BFS.
-        return list(self._cached_path(src, dst))
+    def next_hop(self, src: int, dst: int) -> int:
+        """First node after src on the route towards dst."""
+        if src == dst:
+            raise ValueError("next_hop undefined for src == dst")
+        hop = self._table(src)[0].get(dst)
+        if hop is None:
+            raise self._no_route(src, dst)
+        return hop
 
     def path_nodes(self, src: int, dst: int) -> List[int]:
-        """Like :meth:`shortest_path` but returns the cached list itself.
+        """Node sequence (inclusive) of the route, as a shared memoised list.
 
         For per-request hot paths that only iterate: the caller must
         treat the result as read-only (it is shared with the cache).
         """
-        return self._cached_path(src, dst)
+        self._table(src)
+        path = self._path_cache.get((src, dst))
+        if path is None:
+            path = [src]
+            node = src
+            while node != dst:
+                node = self._table(node)[0].get(dst)
+                if node is None:
+                    raise self._no_route(src, dst)
+                path.append(node)
+            self._path_cache[(src, dst)] = path
+        return path
 
-    def next_hop(self, src: int, dst: int) -> int:
-        """First intermediate node on the path from src towards dst."""
-        if src == dst:
-            raise ValueError("next_hop undefined for src == dst")
-        return self._cached_path(src, dst)[1]
+    def shortest_path(self, src: int, dst: int) -> List[int]:
+        """Node sequence (inclusive) of the route, as a fresh list."""
+        return list(self.path_nodes(src, dst))
 
     def route_shape(self, src: int, dst: int) -> Tuple[int, int]:
-        """(link count, router nodes crossed) of the shortest path.
+        """(link count, router nodes crossed) of the route.
 
-        One shortest-path computation answers both questions; hot paths
-        should prefer this over separate ``hop_count`` /
-        ``router_crossings`` calls.
+        One route lookup answers both questions; hot paths should prefer
+        this over separate ``hop_count`` / ``router_crossings`` calls.
         """
         if src == dst:
             return 0, 0
-        path = self._cached_path(src, dst)
+        path = self.path_nodes(src, dst)
         routers = set(self.router_nodes)
         return len(path) - 1, sum(1 for node in path[1:-1] if node in routers)
 
     def router_crossings(self, src: int, dst: int) -> int:
-        """Number of router nodes crossed on the shortest path."""
+        """Number of router nodes crossed on the route."""
         return self.route_shape(src, dst)[1]
 
     def is_connected(self) -> bool:
@@ -218,21 +295,11 @@ def build_fat_tree(num_nodes: int, leaf_radix: int = 4,
 
 
 def dimension_order_route(topo: Topology, src: int, dst: int) -> List[int]:
-    """X-then-Y-then-Z route through a mesh with coordinates.
+    """The topology's route from src to dst as a fresh node list.
 
-    Falls back to the generic shortest path when coordinates are not
-    available (non-mesh topologies).
+    X-then-Y-then-Z on a mesh with coordinates; the breadth-first route
+    of :class:`Topology` elsewhere.
     """
     if src == dst:
         return [src]
-    if src not in topo.coordinates or dst not in topo.coordinates:
-        return topo.shortest_path(src, dst)
-    coord_to_node = {coord: node for node, coord in topo.coordinates.items()}
-    current = list(topo.coordinates[src])
-    target = topo.coordinates[dst]
-    path = [src]
-    for axis in range(3):
-        while current[axis] != target[axis]:
-            current[axis] += 1 if target[axis] > current[axis] else -1
-            path.append(coord_to_node[tuple(current)])
-    return path
+    return topo.shortest_path(src, dst)

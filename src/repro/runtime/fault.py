@@ -89,7 +89,7 @@ class FaultHandler:
     # ------------------------------------------------------------------
     def _path_uses_link(self, requester: int, donor: int,
                         link: Tuple[int, int]) -> bool:
-        path = self.monitor.topology.shortest_path(requester, donor)
+        path = self.monitor.topology.path_nodes(requester, donor)
         links = {tuple(sorted(pair)) for pair in zip(path, path[1:])}
         return tuple(sorted(link)) in links
 
@@ -182,7 +182,7 @@ class FaultHandler:
         The recovery mirror of :meth:`handle_link_down` -- the missing
         half of the paper's TST story, which only ever reported DOWN.
         Marking the link UP immediately restores the preferred
-        (shortest-path) routes through it: ``MonitorNode._path_usable``
+        routes through it: ``MonitorNode._path_usable``
         stops vetoing donors behind the link, so subsequent allocations
         and re-borrows use the recovered route again.  Existing grants
         are untouched (re-routing back is a policy decision, not a
@@ -275,4 +275,4 @@ def _allocation_view(monitor: MonitorNode, record: AllocationRecord):
     from repro.runtime.monitor import Allocation
 
     return Allocation(record=record, donor=record.donor, amount=record.amount,
-                      hops=monitor.topology.hop_count(record.requester, record.donor))
+                      hops=monitor.topology.hop_map(record.requester)[record.donor])

@@ -296,9 +296,9 @@ class MonitorNode:
         same filters, or a spill plan could include a donor the pinned
         per-chunk allocation rejects (unwinding the whole borrow).
         Called *lazily* while walking the policy-ordered candidates --
-        the path check is a shortest-path query, and the first candidate
-        usually wins, so an eager per-candidate filter would pay O(N)
-        graph searches per request.
+        the path check walks the candidate's route, and the first
+        candidate usually wins, so an eager per-candidate filter would
+        pay O(N) route walks per request.
         """
         return (record.node_id in self._agents
                 and self._path_usable(requester, record.node_id))
@@ -321,7 +321,7 @@ class MonitorNode:
         ``available`` maps donor id to the idle bytes the caller is
         planning against -- the live RRT view for the unbatched spill
         path, a working copy for batch planning.  Yielding keeps the
-        eligibility check (a shortest-path query) lazy, so greedy
+        eligibility check (a route walk) lazy, so greedy
         consumers stop paying it once their demand is covered; both the
         spill planner and the batch planner walk this one generator, so
         their donor choices can never diverge.
@@ -575,7 +575,7 @@ class MonitorNode:
                 record=allocation_record,
                 donor=record.node_id,
                 amount=amount,
-                hops=self.topology.hop_count(requester, record.node_id),
+                hops=self.topology.hop_map(requester)[record.node_id],
             )
         raise AllocationError(
             f"every candidate donor refused the {kind.value} request from node {requester}"

@@ -56,10 +56,9 @@ class DistanceFirstPolicy(DonorSelectionPolicy):
     name = "distance-first"
 
     def order(self, requester, kind, candidates, topology, rat):
+        hops = topology.hop_map(requester)
         return sorted(candidates, key=lambda record: (
-            topology.hop_count(requester, record.node_id),
-            record.node_id,
-        ))
+            hops[record.node_id], record.node_id))
 
 
 class LoadBalancedPolicy(DonorSelectionPolicy):
@@ -75,18 +74,16 @@ class LoadBalancedPolicy(DonorSelectionPolicy):
         def load(record: ResourceRecord) -> int:
             return len(rat.active_for_donor(record.node_id))
 
+        hops = topology.hop_map(requester)
         return sorted(candidates, key=lambda record: (
-            load(record),
-            topology.hop_count(requester, record.node_id),
-            record.node_id,
-        ))
+            load(record), hops[record.node_id], record.node_id))
 
 
 class BandwidthAwarePolicy(DonorSelectionPolicy):
     """Penalise donors whose path shares links with existing allocations.
 
-    Each active allocation is assumed to load every link on the shortest
-    path between its requester and donor; a candidate's score is its hop
+    Each active allocation is assumed to load every link on the route
+    between its requester and donor; a candidate's score is its hop
     count plus ``contention_weight`` times the number of loaded links on
     its own path.  This captures the paper's observation that "existing
     traffic over involved links" should influence donor choice.
@@ -101,7 +98,7 @@ class BandwidthAwarePolicy(DonorSelectionPolicy):
 
     @staticmethod
     def _path_links(topology: Topology, src: int, dst: int) -> List[Tuple[int, int]]:
-        path = topology.shortest_path(src, dst)
+        path = topology.path_nodes(src, dst)
         return [tuple(sorted(pair)) for pair in zip(path, path[1:])]
 
     def _link_load(self, topology: Topology,
@@ -114,14 +111,14 @@ class BandwidthAwarePolicy(DonorSelectionPolicy):
 
     def order(self, requester, kind, candidates, topology, rat):
         link_load = self._link_load(topology, rat)
+        hops = topology.hop_map(requester)
 
         def score(record: ResourceRecord) -> float:
-            hops = topology.hop_count(requester, record.node_id)
             contended = sum(
                 link_load.get(link, 0)
                 for link in self._path_links(topology, requester, record.node_id)
             )
-            return hops + self.contention_weight * contended
+            return hops[record.node_id] + self.contention_weight * contended
 
         return sorted(candidates, key=lambda record: (score(record), record.node_id))
 
@@ -182,12 +179,13 @@ class ContentionAwarePolicy(DonorSelectionPolicy):
 
     def order(self, requester, kind, candidates, topology, rat):
         telemetry = self.telemetry
+        hop_map = topology.hop_map(requester)
 
         def score(record: ResourceRecord) -> float:
-            hops = topology.hop_count(requester, record.node_id)
+            hops = hop_map[record.node_id]
             if telemetry is None:
                 return float(hops)
-            path = topology.shortest_path(requester, record.node_id)
+            path = topology.path_nodes(requester, record.node_id)
             busy = sum(telemetry.link_busy(a, b)
                        for a, b in zip(path, path[1:]))
             return hops + self.busy_weight * busy

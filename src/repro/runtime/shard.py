@@ -421,6 +421,10 @@ class _ShardedRAT:
             records.extend(shard.live.rat.active())
         return sorted(records, key=lambda record: record.allocation_id)
 
+    def is_active(self, allocation_id: int) -> bool:
+        return any(shard.live.rat.is_active(allocation_id)
+                   for shard in self._coordinator.shards)
+
     def active_for_requester(self, requester: int) -> List[AllocationRecord]:
         return [record for record in self.active()
                 if record.requester == requester]

@@ -151,6 +151,9 @@ class ResourceAllocationTable:
         record.released = True
         return record
 
+    def is_active(self, allocation_id: int) -> bool:
+        return allocation_id in self._active_by_id
+
     def active(self) -> List[AllocationRecord]:
         return list(self._active_by_id.values())
 

@@ -66,10 +66,10 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.fabric.datalink import DataLink
-from repro.fabric.network import Switch
+from repro.fabric.network import Switch, program_routes
 from repro.fabric.packet import Packet, PacketKind
 from repro.fabric.phy import PhysicalLink
-from repro.fabric.topology import Topology, build_fat_tree, dimension_order_route
+from repro.fabric.topology import Topology, build_fat_tree
 from repro.sim.engine import SimulationError, Simulator
 
 __all__ = [
@@ -251,6 +251,7 @@ def build_partitioned_fabric(config, topology: Topology,
     links: Dict[Tuple[int, int], PhysicalLink] = {}
     datalinks: Dict[Tuple[int, int], DataLink] = {}
     boundary_ports: List[BoundaryPort] = []
+    ports: Dict[Tuple[int, int], int] = {}
     port_counters = {node_id: 1 for node_id in switches}  # port 0 = local
     for node_a, node_b in topology.links:
         for src, dst in ((node_a, node_b), (node_b, node_a)):
@@ -266,15 +267,10 @@ def build_partitioned_fabric(config, topology: Topology,
                 datalink.connect(port_sink)
             links[(src, dst)] = link
             datalinks[(src, dst)] = datalink
-            port = port_counters[src]
+            port = ports[(src, dst)] = port_counters[src]
             port_counters[src] += 1
             switches[src].attach_output(port, datalink)
-            for destination in topology.compute_nodes:
-                if destination == src:
-                    continue
-                route = dimension_order_route(topology, src, destination)
-                if len(route) > 1 and route[1] == dst:
-                    switches[src].routing_table.install(destination, port)
+    program_routes(topology, switches, ports)
     return PartitionedFabric(sims=sims, switches=switches, links=links,
                              datalinks=datalinks, plan=plan, owner=owner,
                              boundary_ports=boundary_ports,

@@ -1,5 +1,8 @@
 """Unit tests for topology builders and routing helpers."""
 
+import itertools
+
+import networkx as nx
 import pytest
 
 from repro.fabric.topology import (
@@ -132,3 +135,113 @@ def test_validate_rejects_empty_and_disconnected():
     disconnected.graph.add_node(2)
     with pytest.raises(ValueError):
         disconnected.validate()
+
+
+# ----------------------------------------------------------------------
+# Route table: one breadth-first search per source
+# ----------------------------------------------------------------------
+def _breadth_first_shapes():
+    yield build_direct_pair()
+    yield build_direct_pair(5, 9)
+    for size in (2, 3, 8):
+        yield build_star(size)
+    # Full and partial last leaves, one to four spines.
+    for num_nodes, radix, spines in itertools.product(
+            (5, 10, 16, 17), (3, 4), (1, 2, 3, 4)):
+        yield build_fat_tree(num_nodes, leaf_radix=radix, num_spines=spines)
+
+
+@pytest.mark.parametrize("topo", list(_breadth_first_shapes()),
+                         ids=lambda topo: f"{topo.name}-{len(topo.nodes)}")
+def test_every_route_equals_networkx_shortest_path(topo):
+    for src, dst in itertools.product(topo.nodes, repeat=2):
+        expected = nx.shortest_path(topo.graph, src, dst)
+        assert topo.shortest_path(src, dst) == expected
+        assert topo.path_nodes(src, dst) == expected
+        assert dimension_order_route(topo, src, dst) == expected
+        assert topo.hop_count(src, dst) == len(expected) - 1
+        assert topo.hop_map(src)[dst] == len(expected) - 1
+        if src != dst:
+            assert topo.next_hop(src, dst) == expected[1]
+            assert topo.next_hops(src)[dst] == expected[1]
+
+
+def _reference_dimension_order(topo, src, dst):
+    """X-then-Y-then-Z walk over the mesh coordinates."""
+    coord_to_node = {coord: node for node, coord in topo.coordinates.items()}
+    current = list(topo.coordinates[src])
+    target = topo.coordinates[dst]
+    path = [src]
+    for axis in range(3):
+        while current[axis] != target[axis]:
+            current[axis] += 1 if target[axis] > current[axis] else -1
+            path.append(coord_to_node[tuple(current)])
+    return path
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2), (4, 3, 1), (1, 1, 5)])
+def test_mesh_routes_are_dimension_order(dims):
+    topo = build_mesh3d(dims)
+    for src, dst in itertools.product(topo.nodes, repeat=2):
+        route = _reference_dimension_order(topo, src, dst)
+        assert topo.path_nodes(src, dst) == route
+        assert topo.shortest_path(src, dst) == route
+        assert topo.hop_count(src, dst) == nx.shortest_path_length(
+            topo.graph, src, dst)
+        assert topo.route_shape(src, dst) == (len(route) - 1, 0)
+
+
+def test_mesh_path_queries_follow_the_fabric_not_networkx():
+    # networkx goes 0 -> 2 -> 3; the fabric's X-first route is 0 -> 1 -> 3.
+    topo = build_mesh3d((2, 2, 2))
+    assert nx.shortest_path(topo.graph, 0, 3) == [0, 2, 3]
+    assert topo.path_nodes(0, 3) == [0, 1, 3]
+    assert topo.next_hop(0, 3) == 1
+
+
+def test_shortest_path_returns_a_private_copy():
+    topo = build_fat_tree(8, leaf_radix=4)
+    path = topo.shortest_path(0, 7)
+    path.append(99)
+    assert topo.shortest_path(0, 7) == [0, 8, 10, 9, 7]
+
+
+def test_missing_nodes_raise_node_not_found():
+    topo = build_fat_tree(8, leaf_radix=4)
+    for query in (topo.shortest_path, topo.path_nodes, topo.hop_count,
+                  topo.next_hop, topo.route_shape):
+        with pytest.raises(nx.NodeNotFound):
+            query(0, 99)
+        with pytest.raises(nx.NodeNotFound):
+            query(99, 0)
+    with pytest.raises(nx.NodeNotFound):
+        topo.shortest_path(99, 99)
+    with pytest.raises(nx.NodeNotFound):
+        topo.hop_map(99)
+
+
+def test_disconnected_pairs_raise_no_path():
+    topo = Topology(name="split")
+    topo.graph.add_edge(0, 1)
+    topo.graph.add_edge(2, 3)
+    for query in (topo.shortest_path, topo.path_nodes, topo.hop_count,
+                  topo.next_hop, topo.route_shape):
+        with pytest.raises(nx.NetworkXNoPath):
+            query(0, 3)
+    assert topo.hop_count(0, 1) == 1
+
+
+def test_route_tables_follow_graph_edits():
+    topo = Topology(name="line")
+    topo.graph.add_edge(0, 1)
+    topo.graph.add_edge(1, 2)
+    assert topo.path_nodes(0, 2) == [0, 1, 2]
+    # A new node changes the node-count stamp: tables are rebuilt.
+    topo.graph.add_edge(2, 3)
+    assert topo.hop_count(0, 3) == 3
+    # An edge between existing nodes needs an explicit invalidation.
+    topo.graph.add_edge(0, 3)
+    assert topo.hop_count(0, 3) == 3
+    topo.invalidate_path_cache()
+    assert topo.hop_count(0, 3) == 1
+    assert topo.path_nodes(0, 3) == [0, 3]

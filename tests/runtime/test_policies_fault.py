@@ -5,7 +5,7 @@ import pytest
 from repro.fabric.topology import build_mesh3d
 from repro.runtime.agent import NodeAgent
 from repro.runtime.fault import FaultHandler, RecoveryAction
-from repro.runtime.monitor import MonitorNode
+from repro.runtime.monitor import AllocationError, MonitorNode
 from repro.runtime.policies import (
     BandwidthAwarePolicy,
     DistanceFirstPolicy,
@@ -104,6 +104,29 @@ def test_link_down_reroutes_when_alternate_path_exists():
     assert affected[0].action is RecoveryAction.REROUTE
     assert affected[0].new_path is not None
     assert (0, donor) not in list(zip(affected[0].new_path, affected[0].new_path[1:]))
+
+
+def test_mesh_donor_veto_follows_the_dimension_order_route():
+    # Packets from 0 to 3 take the X-first route 0 -> 1 -> 3; networkx's
+    # shortest path would be 0 -> 2 -> 3, a route the fabric never uses.
+    monitor = build_monitor()
+    monitor.tst.report(0, 2, LinkStatus.DOWN)
+    allocation = monitor.request_memory(0, 64 * MB, donor=3)
+    assert allocation.donor == 3
+    assert allocation.hops == 2
+    monitor.release(allocation)
+    monitor.tst.report(1, 3, LinkStatus.DOWN)
+    with pytest.raises(AllocationError):
+        monitor.request_memory(0, 64 * MB, donor=3)
+
+
+def test_mesh_link_down_affects_only_grants_routed_over_it():
+    monitor = build_monitor()
+    handler = FaultHandler(monitor)
+    monitor.request_memory(0, 64 * MB, donor=3)
+    assert handler.handle_link_down(0, 2).affected() == []
+    affected = handler.handle_link_down(1, 3).affected()
+    assert [step.action for step in affected] == [RecoveryAction.REROUTE]
 
 
 def test_link_down_leaves_unrelated_allocations_alone():

@@ -221,6 +221,9 @@ def test_missing_extension_auto_falls_back_silently(fresh_ccore_state,
 
 def test_broken_extension_warns_once_and_falls_back(fresh_ccore_state,
                                                     monkeypatch):
+    # Sanitized runs always resolve to Python; pin the sanitizer off so
+    # the import fallback itself is what is exercised.
+    monkeypatch.delenv("SIM_SANITIZE", raising=False)
     monkeypatch.delenv("SIM_CORE", raising=False)
     _block_ccore_import(monkeypatch, ImportError(
         "undefined symbol: simulated_abi_drift"))
@@ -239,6 +242,7 @@ def test_explicit_c_core_unavailable_raises_clear_error(fresh_ccore_state,
                                                         monkeypatch):
     from repro.sim import _ccore_build
 
+    monkeypatch.delenv("SIM_SANITIZE", raising=False)
     monkeypatch.delenv("SIM_CORE", raising=False)
     _block_ccore_import(monkeypatch, ModuleNotFoundError(
         "No module named 'repro.sim._ccore'"))
@@ -264,6 +268,7 @@ def test_sim_core_env_is_honoured(monkeypatch):
 
 @requires_ccore
 def test_explicit_core_argument_beats_env(monkeypatch):
+    monkeypatch.delenv("SIM_SANITIZE", raising=False)
     monkeypatch.setenv("SIM_CORE", "c")
     assert Simulator(core="py").core == "py"
     monkeypatch.setenv("SIM_CORE", "py")
@@ -279,7 +284,8 @@ def test_sanitize_forces_python_core(monkeypatch):
 
 
 @requires_ccore
-def test_auto_prefers_compiled_core():
+def test_auto_prefers_compiled_core(monkeypatch):
+    monkeypatch.delenv("SIM_SANITIZE", raising=False)
     assert Simulator(core="auto").core == "c"
 
 

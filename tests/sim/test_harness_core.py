@@ -45,6 +45,7 @@ def test_core_py_is_stamped_in_results(tmp_path, monkeypatch):
 
 @requires_ccore
 def test_core_c_is_stamped_in_results(tmp_path, monkeypatch):
+    monkeypatch.delenv("SIM_SANITIZE", raising=False)  # sanitize runs Python
     result = _run_pair(tmp_path, monkeypatch, "c")
     assert result["core"] == "c"
 
