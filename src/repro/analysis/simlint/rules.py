@@ -53,8 +53,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 #: can leak construction history into event order (SIM001 scope).
 ORDER_SENSITIVE_CALLS = frozenset({
     "schedule", "schedule_at", "call_soon", "call_after", "_call_after",
-    "_call_soon", "schedule_replenish", "inject", "send_and_forget",
-    "offer", "spawn",
+    "_call_soon", "schedule_replenish", "take_then", "inject",
+    "send_and_forget", "offer", "spawn",
 })
 
 #: Function-name fragments that mark a module as order-sensitive even

@@ -18,13 +18,33 @@ flush.  When the forward link is idle at enqueue time the sender
 processing event is *folded* into the serialization event (the
 busy-horizon fold, :meth:`PhysicalLink.reserve_fused_tx`): both delays
 are fixed at enqueue, so one fused event covers processing +
-serialization and the uncontended per-hop event count drops by one.  The sender takes its credit synchronously when one is available
-(:meth:`CreditPool.try_take`, no event allocated) and only joins the
-pool's waiter FIFO when stalled; the receiver serialises processing
-through a busy flag and a deque instead of a Store + drain process, so
-no generator is resumed per packet.  Credit returns go through
-:meth:`CreditPool.schedule_replenish`, which batches every credit freed
-within one return-latency window into a single wakeup pass.
+serialization and the uncontended per-hop event count drops by one.
+
+Every event of the hop chain runs as one Python frame, plus at most
+the next layer's entry point:
+
+* ``send_and_forget`` (called by the switch's ``_route``) takes its
+  credit inline when one is free -- the pool's ``try_take``, including
+  its sanitizer audit -- and does the fold's reservation inline (the
+  bookkeeping of ``reserve_fused_tx`` and the serialization memo
+  lookup).  A stalled packet parks the plain callback ``_sf_granted``
+  in the pool's waiter FIFO (:meth:`CreditPool.take_then`); the grant
+  schedules it with one ``call_soon`` and no :class:`SimEvent`.
+* ``_sf_granted`` repeats the inline reservation; ``_sf_processed``
+  (the busy-link hand-off) does :meth:`PhysicalLink.offer`'s work
+  inline and, on a full transmit queue, parks the plain callback
+  ``_sf_sent`` in the link's blocked-sender FIFO.
+* The forward link schedules its delivery event straight to
+  ``_on_packet_arrival`` (:meth:`PhysicalLink.connect_arrival`), which
+  counts the hop and applies admin-down corruption itself.
+* ``_rx_done`` arms the coalesced credit return inline -- the
+  arming half of :meth:`CreditPool.schedule_replenish` -- and the
+  flush event runs :meth:`CreditPool._flush_replenish`, which grants
+  the pool's waiters itself.
+
+The receiver serialises processing through a busy flag and a deque
+instead of a Store + drain process, so no generator is resumed per
+packet.
 """
 
 from __future__ import annotations
@@ -77,7 +97,7 @@ class DataLink:
                  "_sink", "_processing_ns", "_call_after", "_rx_queue",
                  "_rx_busy", "_pending_replay", "_replay_attempts",
                  "_next_sequence", "_credits_owed", "_credit_batch",
-                 "_send_name", "_sf_pending", "_sanitize")
+                 "_send_name", "_sf_pending", "_sanitize", "_call_soon")
 
     def __init__(self, sim: Simulator, forward_link: PhysicalLink,
                  config: Optional[DataLinkConfig] = None, name: str = "datalink",
@@ -98,8 +118,9 @@ class DataLink:
         self.credits = CreditPool(sim, initial=self.config.credits, name=f"{name}.credits")
         self._sink: Optional[Callable[[Packet], None]] = None
         self._processing_ns = self.config.processing_latency_ns
-        #: Scheduler entry point bound once; several calls per packet.
+        #: Scheduler entry points bound once; several calls per packet.
         self._call_after = sim.call_after
+        self._call_soon = sim.call_soon
         #: Receiver buffer: packets waiting for the (serialised) receive
         #: processing stage; bounded by ``config.credits``.
         self._rx_queue: Deque[Packet] = deque()
@@ -119,7 +140,7 @@ class DataLink:
         #: Packets between send_and_forget's credit request and grant.
         self._sf_pending: Deque[Packet] = deque()
         self._sanitize = bool(getattr(sim, "sanitize", False))
-        forward_link.connect(self._on_packet_arrival)
+        forward_link.connect_arrival(self._on_packet_arrival)
 
     # ------------------------------------------------------------------
     # Sender side
@@ -149,14 +170,15 @@ class DataLink:
         Same latencies and event schedule as spawning :meth:`send` as a
         process, but as a callback chain: the credit is taken
         synchronously when available (no event, no allocation) and a
-        stalled packet joins the pool's waiter FIFO.  Ordering among
-        ``send_and_forget`` packets is strictly FIFO.  Relative to a
-        *process-based* :meth:`send` issued at the same timestamp, the
-        synchronous take can run before that process's deferred resume,
-        so mixed-path ordering at one instant is deterministic but not
-        creation-order FIFO; the event fabric uses only this path.
-        ``try_take`` and ``_sf_begin`` are inlined here -- this runs
-        once per packet per hop.
+        stalled packet parks :meth:`_sf_granted` in the pool's waiter
+        FIFO.  Ordering among ``send_and_forget`` packets is strictly
+        FIFO.  Relative to a *process-based* :meth:`send` issued at the
+        same timestamp, the synchronous take can run before that
+        process's deferred resume, so mixed-path ordering at one
+        instant is deterministic but not creation-order FIFO; the event
+        fabric uses only this path.  ``try_take``, ``_sf_begin`` and
+        ``reserve_fused_tx`` are inlined here -- this runs once per
+        packet per hop.
         """
         pool = self.credits
         # _sf_pending must be empty too: after a coalesced flush grants a
@@ -165,34 +187,39 @@ class DataLink:
         # here would let this packet overtake the parked one and invert
         # the FIFO sequence/transmission order.
         if not self._sf_pending and not pool._waiters and pool._credits >= 1:
+            if self._sanitize:
+                pool.check_conservation()
             pool._credits -= 1
             pool.total_taken += 1
             packet.sequence = sequence = self._next_sequence
             self._next_sequence = sequence + 1
             self._pending_replay[sequence] = packet
-            # Busy-horizon fold: when the forward link is idle right
-            # now, processing + serialization are both fixed, so one
-            # fused event replaces the processing hand-off (see
-            # PhysicalLink.reserve_fused_tx).  The _tx_busy peek saves
-            # the guaranteed-to-fail reservation call on contended
-            # links, where this path runs once per packet.
             link = self.forward_link
-            serialization = (None if link._tx_busy
-                             else link.reserve_fused_tx(packet))
-            if serialization is not None:
-                self._ctr_sent.value += 1
-                self._call_after(self._processing_ns + serialization,
-                                 link._tx_complete, packet)
-            else:
+            if link._tx_busy:
                 self._call_after(self._processing_ns, self._sf_processed,
                                  packet)
+                return
+            # Busy-horizon fold: the forward link is idle right now, so
+            # processing + serialization are both fixed and one fused
+            # event replaces the processing hand-off
+            # (PhysicalLink.reserve_fused_tx, inlined).
+            link._tx_busy = True
+            link._ctr_offered.value += 1
+            config = link.config
+            serialization = config._serialization_cache.get(packet.wire_bytes)
+            if (serialization is None
+                    or config._cache_bandwidth != config.bandwidth_gbps):
+                serialization = config.serialization_ns(packet.wire_bytes)
+            link._ctr_busy_ns.value += serialization
+            self._ctr_sent.value += 1
+            self._call_after(self._processing_ns + serialization,
+                             link._tx_complete, packet)
         else:
             # Joins the FIFO behind every earlier taker and counts the
             # stall; _sf_pending pairs packets with grant callbacks in
             # the same order the pool grants them.
-            event = pool.take(1)
             self._sf_pending.append(packet)
-            event.add_waiter(self._sf_granted)
+            pool.take_then(self._sf_granted)
 
     def _sf_granted(self, _value=None) -> None:
         packet = self._sf_pending.popleft()
@@ -200,21 +227,42 @@ class DataLink:
         self._next_sequence = sequence + 1
         self._pending_replay[sequence] = packet
         link = self.forward_link
-        serialization = (None if link._tx_busy
-                         else link.reserve_fused_tx(packet))
-        if serialization is not None:
-            self._ctr_sent.value += 1
-            self._call_after(self._processing_ns + serialization,
-                             link._tx_complete, packet)
-        else:
+        if link._tx_busy:
             self._call_after(self._processing_ns, self._sf_processed, packet)
+            return
+        # The fold of send_and_forget, same inlined reservation.
+        link._tx_busy = True
+        link._ctr_offered.value += 1
+        config = link.config
+        serialization = config._serialization_cache.get(packet.wire_bytes)
+        if (serialization is None
+                or config._cache_bandwidth != config.bandwidth_gbps):
+            serialization = config.serialization_ns(packet.wire_bytes)
+        link._ctr_busy_ns.value += serialization
+        self._ctr_sent.value += 1
+        self._call_after(self._processing_ns + serialization,
+                         link._tx_complete, packet)
 
     def _sf_processed(self, packet: Packet) -> None:
-        pending = self.forward_link.offer(packet)
-        if pending is None:
-            self._ctr_sent.value += 1
+        # PhysicalLink.offer inlined; a full transmit queue parks the
+        # plain callback _sf_sent in the link's blocked-sender FIFO.
+        link = self.forward_link
+        link._ctr_offered.value += 1
+        if not link._tx_busy:
+            link._tx_busy = True
+            config = link.config
+            serialization = config._serialization_cache.get(packet.wire_bytes)
+            if (serialization is None
+                    or config._cache_bandwidth != config.bandwidth_gbps):
+                serialization = config.serialization_ns(packet.wire_bytes)
+            link._ctr_busy_ns.value += serialization
+            self._call_after(serialization, link._tx_complete, packet)
+        elif len(link._tx_queue) < link.config.queue_capacity:
+            link._tx_queue.append(packet)
         else:
-            pending.add_waiter(self._sf_sent)
+            link._tx_waiters.append((packet, self._call_soon, self._sf_sent))
+            return
+        self._ctr_sent.value += 1
 
     def _sf_sent(self, _value=None) -> None:
         self._ctr_sent.value += 1
@@ -228,6 +276,11 @@ class DataLink:
     # Receiver side
     # ------------------------------------------------------------------
     def _on_packet_arrival(self, packet: Packet) -> None:
+        # The forward link schedules this directly (connect_arrival), so
+        # PhysicalLink._deliver's bookkeeping happens here: count the
+        # hop, and fault a clean packet delivered while the link is
+        # administratively down.
+        packet.hops += 1
         # The receiver-side CRC-16 over the packet signature detects
         # injected wire corruption.  A corrupted packet's observed CRC
         # (the signature CRC xor a non-zero error syndrome) never
@@ -235,7 +288,11 @@ class DataLink:
         # check reduces exactly to the corruption flag and the CRC
         # itself need not be computed on the per-packet fast path.  See
         # :func:`repro.fabric.crc.packet_crc` for the signature CRC.
-        if packet.corrupted:
+        link = self.forward_link
+        if packet.corrupted or not link._admin_up:
+            if not packet.corrupted:
+                packet.corrupted = True
+                link._ctr_admin_faulted.value += 1
             self._ctr_crc_errors.value += 1
             self._request_replay(packet)
             return
@@ -261,20 +318,28 @@ class DataLink:
         owed = self._credits_owed + 1
         self._ctr_credits_returned.value += 1
         queue = self._rx_queue
-        if queue:
-            # Batch while the pipeline stays busy: a stalled sender is
-            # guaranteed a flush because its un-returned credits keep
-            # the pipeline fed until the threshold trips.
-            if owed >= self._credit_batch:
-                self._flush_credits(owed)
+        # Batch while the pipeline stays busy: a stalled sender is
+        # guaranteed a flush because its un-returned credits keep the
+        # pipeline fed until the threshold trips.  Flush-on-idle: never
+        # leave owed credits stranded when the burst (or the whole
+        # simulation) quiesces.
+        if queue and owed < self._credit_batch:
+            self._credits_owed = owed
+        else:
+            # _flush_credits -> CreditPool.schedule_replenish, inlined:
+            # the first owed credit arms the coalesced flush event.
+            self._credits_owed = 0
+            pool = self.credits
+            if pool._pending_replenish:
+                pool._pending_replenish += owed
             else:
-                self._credits_owed = owed
+                pool._pending_replenish = owed
+                self._call_after(self._credit_return_ns(),
+                                 pool._flush_replenish)
+        if queue:
             self._call_after(self._processing_ns, self._rx_done,
                              queue.popleft())
         else:
-            # Flush-on-idle: never leave owed credits stranded when the
-            # burst (or the whole simulation) quiesces.
-            self._flush_credits(owed)
             self._rx_busy = False
         if self._sink is not None:
             self._sink(packet)
@@ -317,20 +382,16 @@ class DataLink:
             self._ctr_credits_returned.value += 1
             self._flush_credits(self._credits_owed + 1)
             return
-        retry = Packet(
-            src=original.src,
-            dst=original.dst,
-            kind=original.kind,
-            payload_bytes=original.payload_bytes,
-            address=original.address,
-            sequence=original.sequence,
-            flow_id=original.flow_id,
-            payload=original.payload,
-        )
+        # The retransmission is the original packet itself, cleaned:
+        # it keeps its packet_id (the transport matches deliveries to
+        # ops by it), created_at and hop count.  It cannot be in flight
+        # twice -- the corrupted copy just ended here -- and nothing
+        # downstream held it.
+        original.corrupted = False
         # Replays bypass credit acquisition: the receiver reserved the
         # buffer slot when the (corrupted) packet first consumed a credit.
-        self.sim.call_after(
-            self.config.credit_return_latency_ns, self._start_replay, retry
+        self._call_after(
+            self.config.credit_return_latency_ns, self._start_replay, original
         )
 
     def _start_replay(self, packet: Packet) -> None:
@@ -340,11 +401,15 @@ class DataLink:
         # acceptance, so the returned event (if any) needs no waiter.
         self.forward_link.offer(packet)
 
-    def _flush_credits(self, owed: int) -> None:
-        self._credits_owed = 0
+    def _credit_return_ns(self) -> int:
+        """Delay of a credit return: ack latency plus the reverse PHY."""
         latency = self.config.credit_return_latency_ns
         if self.reverse_link is not None:
             latency += self.reverse_link.config.phy_latency_ns
+        return latency
+
+    def _flush_credits(self, owed: int) -> None:
+        self._credits_owed = 0
         # Coalesced: every credit in the batch rides a single replenish
         # event (one wakeup pass) instead of one event each.
-        self.credits.schedule_replenish(owed, delay=latency)
+        self.credits.schedule_replenish(owed, delay=self._credit_return_ns())

@@ -15,19 +15,32 @@ is idle, and :meth:`_tx_complete` chains straight into the next queued
 packet's serialization at the same timestamp.  A packet therefore costs
 exactly two scheduled events on the link (serialization end, delivery)
 and zero allocations on the accepted path -- the acceptance
-:class:`SimEvent` is only materialised for blocked senders or for
-process-based callers of :meth:`send`.  When the link is idle the
-datalink layer goes one step further and folds its own processing delay
-into the serialization event via :meth:`PhysicalLink.reserve_fused_tx`
-(the busy-horizon fold), skipping the intermediate hand-off event
-entirely.
+:class:`SimEvent` is only materialised for blocked senders that call
+:meth:`offer` or for process-based callers of :meth:`send`.  Blocked
+senders wait in one FIFO of ``(packet, grant, arg)`` entries; admitting
+one calls ``grant(arg)``, which is ``event.succeed(None)`` for
+:meth:`offer` callers and ``sim.call_soon(callback)`` for the datalink,
+which parks a plain callback there instead of an event.
+
+Each event this layer dispatches is one Python frame.  The delivery
+event is scheduled straight to the receiver: a datalink registers its
+``_on_packet_arrival`` through :meth:`connect_arrival` and does the
+delivery bookkeeping (hop count, admin-down corruption) itself; only
+other sinks go through the generic :meth:`_deliver`.  When the link is
+idle the datalink layer goes one step further and folds its own
+processing delay into the serialization event (the busy-horizon fold,
+see :meth:`PhysicalLink.reserve_fused_tx`, whose bookkeeping the
+datalink inlines), skipping the intermediate hand-off event entirely.
+The memo of :meth:`LinkConfig.serialization_ns` is read inline on these
+paths too: one dict hit plus its bandwidth-stamp check, falling back to
+the method on a miss.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.sim.engine import Simulator
 from repro.sim.process import SimEvent
@@ -57,6 +70,9 @@ class LinkConfig:
     #: handful of packet size classes, so every size is computed once and
     #: then answered from the dict; the cache invalidates itself when
     #: ``bandwidth_gbps`` is reassigned (experiments mutate configs).
+    #: The per-hop paths (``PhysicalLink._tx_complete`` and the
+    #: ``DataLink`` send path) read the dict inline, behind the same
+    #: bandwidth-stamp check, and call the method only on a miss.
     _serialization_cache: Dict[int, int] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _cache_bandwidth: float = field(
@@ -97,8 +113,8 @@ class PhysicalLink:
     __slots__ = ("sim", "config", "name", "rng", "stats", "_ctr_offered",
                  "_ctr_busy_ns", "_ctr_sent", "_ctr_bytes", "_ctr_corrupted",
                  "_ctr_admin_faulted", "_send_name", "_tx_queue",
-                 "_tx_waiters", "_tx_busy", "_sink", "_call_after",
-                 "_admin_up")
+                 "_tx_waiters", "_tx_busy", "_sink", "_arrival",
+                 "_call_after", "_admin_up")
 
     def __init__(self, sim: Simulator, config: LinkConfig, name: str = "link",
                  rng: Optional[DeterministicRNG] = None):
@@ -123,10 +139,14 @@ class PhysicalLink:
         #: Accepted packets waiting for the serializer (excludes the one
         #: in service); bounded by ``config.queue_capacity``.
         self._tx_queue: Deque[Packet] = deque()
-        #: Blocked senders: (packet, acceptance event), FIFO.
-        self._tx_waiters: Deque[Tuple[Packet, SimEvent]] = deque()
+        #: Blocked senders, FIFO: (packet, grant, arg); admitting one
+        #: calls grant(arg) (see the module's hot-path notes).
+        self._tx_waiters: Deque[Tuple[Packet, Callable[[Any], Any], Any]] = deque()
         self._tx_busy = False
         self._sink: Optional[Callable[[Packet], None]] = None
+        #: Callback the delivery event is scheduled to: ``_deliver``
+        #: for plain sinks, the receiver itself for datalinks.
+        self._arrival: Callable[[Packet], None] = self._deliver
         #: Scheduler entry point bound once; two calls per packet.
         self._call_after = sim.call_after
         #: Administrative state (fault injection).  A downed link keeps
@@ -139,6 +159,20 @@ class PhysicalLink:
     def connect(self, sink: Callable[[Packet], None]) -> None:
         """Register the receive callback at the far end of the link."""
         self._sink = sink
+        self._arrival = self._deliver
+
+    def connect_arrival(self, receiver: Callable[[Packet], None]) -> None:
+        """Schedule deliveries straight to ``receiver``, skipping :meth:`_deliver`.
+
+        For a receiver that does :meth:`_deliver`'s per-packet work
+        itself -- count the hop, and while the link is admin-down mark
+        a clean packet corrupted and count it in
+        ``packets_faulted_admin_down`` -- as the datalink's
+        ``_on_packet_arrival`` does.  The delivery event then runs as
+        one frame instead of two.
+        """
+        self._sink = receiver
+        self._arrival = receiver
 
     # ------------------------------------------------------------------
     # Administrative state (fault injection)
@@ -188,7 +222,7 @@ class PhysicalLink:
             self._tx_queue.append(packet)
             return None
         event = SimEvent(self.sim, name=self._send_name)
-        self._tx_waiters.append((packet, event))
+        self._tx_waiters.append((packet, event.succeed, None))
         return event
 
     def reserve_fused_tx(self, packet: Packet) -> Optional[int]:
@@ -256,17 +290,21 @@ class PhysicalLink:
                 packet.corrupted = True
                 self._ctr_corrupted.increment()
         self._call_after(config.phy_latency_ns + config.extra_delay_ns,
-                         self._deliver, packet)
+                         self._arrival, packet)
         queue = self._tx_queue
         if queue:
             # Chain straight into the next serialization; a freed queue
             # slot admits the oldest blocked sender.
             nxt = queue.popleft()
             if self._tx_waiters:
-                waiting_packet, event = self._tx_waiters.popleft()
+                waiting_packet, grant, arg = self._tx_waiters.popleft()
                 queue.append(waiting_packet)
-                event.succeed(None)
-            serialization = config.serialization_ns(nxt.wire_bytes)
+                grant(arg)
+            # LinkConfig.serialization_ns inlined: memo hit, same key.
+            serialization = config._serialization_cache.get(nxt.wire_bytes)
+            if (serialization is None
+                    or config._cache_bandwidth != config.bandwidth_gbps):
+                serialization = config.serialization_ns(nxt.wire_bytes)
             self._ctr_busy_ns.value += serialization
             self._call_after(serialization, self._tx_complete, nxt)
         else:

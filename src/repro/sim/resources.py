@@ -14,7 +14,7 @@ yielding it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Callable, Deque, Optional, Tuple
 
 from repro.sim.engine import SanitizerError, SimulationError, Simulator
 from repro.sim.process import SimEvent
@@ -155,17 +155,27 @@ class CreditPool:
     Senders ``take(n)`` credits (blocking until available) before
     transmitting; receivers ``replenish(n)`` when buffers drain.
 
+    Blocked takers wait in one FIFO of ``(amount, grant, arg)`` entries;
+    granting an entry calls ``grant(arg)`` exactly once.  :meth:`take`
+    parks ``(amount, event.succeed, None)``, so a process resumes
+    through its :class:`SimEvent`; :meth:`take_then` parks
+    ``(amount, sim.call_soon, callback)``, so a callback chain (the
+    datalink's stalled ``send_and_forget``) is scheduled directly with
+    the same single ``call_soon`` and no event object.
+
     When the owning simulator sanitizes, every pool operation entry
     point re-checks the conservation invariant
     (:meth:`check_conservation`), so a buggy replenish path that
     silently destroys or mints credits is caught at the next pool
-    operation even if the buggy code itself performs no checks.
+    operation even if the buggy code itself performs no checks.  Code
+    that takes credits inline instead of through :meth:`try_take`
+    (``DataLink.send_and_forget``) runs the same check itself.
     """
 
     __slots__ = ("sim", "name", "maximum", "_take_name", "_credits",
                  "_waiters", "_pending_replenish", "total_taken",
                  "total_replenished", "stall_count", "flush_count",
-                 "_initial", "_clamped", "_sanitize")
+                 "_initial", "_clamped", "_sanitize", "_call_soon")
 
     def __init__(self, sim: Simulator, initial: int, maximum: Optional[int] = None,
                  name: str = "credits"):
@@ -178,7 +188,8 @@ class CreditPool:
         self.maximum = maximum if maximum is not None else initial
         self._take_name = name + ".take"
         self._credits = initial
-        self._waiters: Deque[tuple] = deque()  # (event, amount)
+        #: Blocked takers, FIFO: (amount, grant, arg); see the class doc.
+        self._waiters: Deque[Tuple[int, Callable[[Any], Any], Any]] = deque()
         #: Credits accrued towards the next coalesced flush (see
         #: :meth:`schedule_replenish`).
         self._pending_replenish = 0
@@ -192,19 +203,23 @@ class CreditPool:
         #: distinguishable from silently destroyed credits.
         self._clamped = 0
         self._sanitize = bool(getattr(sim, "sanitize", False))
+        self._call_soon = sim.call_soon
 
     @property
     def available(self) -> int:
         return self._credits
 
-    def take(self, amount: int = 1) -> SimEvent:
-        """Consume ``amount`` credits; blocks (via event) until granted."""
+    def _check_amount(self, amount: int) -> None:
         if amount <= 0:
             raise ValueError(f"credit amount must be positive, got {amount}")
         if amount > self.maximum:
             raise SimulationError(
                 f"requesting {amount} credits exceeds pool maximum {self.maximum}"
             )
+
+    def take(self, amount: int = 1) -> SimEvent:
+        """Consume ``amount`` credits; blocks (via event) until granted."""
+        self._check_amount(amount)
         if self._sanitize:
             self.check_conservation()
         event = SimEvent(self.sim, name=self._take_name)
@@ -215,8 +230,30 @@ class CreditPool:
             event._succeeded = True
         else:
             self.stall_count += 1
-            self._waiters.append((event, amount))
+            self._waiters.append((amount, event.succeed, None))
         return event
+
+    def take_then(self, callback: Callable[[Any], Any], amount: int = 1) -> None:
+        """Consume ``amount`` credits, then run ``callback(None)``.
+
+        The callback form of :meth:`take`, for callback chains: when
+        the credits are free and nobody waits, they are taken now and
+        ``callback`` is scheduled at the current time; otherwise the
+        call counts a stall and parks ``callback`` in the waiter FIFO,
+        and the grant schedules it.  Either way exactly one
+        ``call_soon`` runs it -- the same event a :meth:`take` event
+        with one waiter costs -- and no :class:`SimEvent` is allocated.
+        """
+        self._check_amount(amount)
+        if self._sanitize:
+            self.check_conservation()
+        if not self._waiters and self._credits >= amount:
+            self._credits -= amount
+            self.total_taken += amount
+            self._call_soon(callback)
+        else:
+            self.stall_count += 1
+            self._waiters.append((amount, self._call_soon, callback))
 
     def try_take(self, amount: int = 1) -> bool:
         """Non-blocking take; returns ``False`` if short on credits."""
@@ -233,44 +270,29 @@ class CreditPool:
 
         Waiters are granted before the pool is clamped to ``maximum``:
         credits owed to blocked senders must never be destroyed by the
-        clamp.
+        clamp.  Shares its grant-and-clamp routine with the coalesced
+        flush (:meth:`_flush_replenish`).
         """
         if amount <= 0:
             raise ValueError(f"replenish amount must be positive, got {amount}")
-        self._credits += amount
-        self.total_replenished += amount
-        while self._waiters and self._credits >= self._waiters[0][1]:
-            event, want = self._waiters.popleft()
-            self._credits -= want
-            self.total_taken += want
-            event.succeed(None)
-        if self._credits > self.maximum:
-            if self._sanitize and self._waiters:
-                raise SanitizerError(
-                    f"credit pool {self.name!r}: clamping "
-                    f"{self._credits - self.maximum} credits while "
-                    f"{len(self._waiters)} taker(s) are still blocked "
-                    "(waiters must be granted before the clamp)")
-            self._clamped += self._credits - self.maximum
-            self._credits = self.maximum
-        if self._sanitize:
-            self.check_conservation()
+        self._flush_replenish(amount)
 
     def schedule_replenish(self, amount: int = 1, delay: int = 0) -> None:
         """Return ``amount`` credits ``delay`` ns from now, coalesced.
 
         Batched credit return: the first pending credit arms a single
-        flush event ``delay`` ns out, and credits accrued before it
-        fires ride along in the same wakeup pass -- N returns coalesce
-        into one :meth:`replenish` (and therefore one waiter-granting
-        sweep) instead of N events.  The window is anchored at the
-        *first* credit's deadline: the ``delay`` of later calls in the
-        window is ignored, so with a constant per-caller delay (the
-        datalink's fixed return latency) coalesced credits return at or
-        before their own deadline, while mixed delays may return a
-        credit earlier or later than its own ``delay`` would.  Receivers
-        only return credits for buffer slots that have already drained,
-        so an early return cannot overflow.
+        flush event (:meth:`_flush_replenish`) ``delay`` ns out, and
+        credits accrued before it fires ride along in the same wakeup
+        pass -- N returns coalesce into one waiter-granting sweep
+        instead of N events.  The window is anchored at the *first*
+        credit's deadline: the ``delay`` of later calls in the window
+        is ignored, so with a constant per-caller delay (the datalink's
+        fixed return latency) coalesced credits return at or before
+        their own deadline, while mixed delays may return a credit
+        earlier or later than its own ``delay`` would.  Receivers only
+        return credits for buffer slots that have already drained, so
+        an early return cannot overflow.  ``DataLink._rx_done`` arms
+        the same flush inline on its per-packet path.
 
         Flush-on-idle guarantee: arming is unconditional -- pending
         credits always have a scheduled flush event, so the batch can
@@ -285,13 +307,39 @@ class CreditPool:
         self._pending_replenish = amount
         self.sim.call_after(delay, self._flush_replenish)
 
-    def _flush_replenish(self, _value=None) -> None:
+    def _flush_replenish(self, amount: Optional[int] = None) -> None:
+        """Return credits: grant waiters in FIFO order, then clamp.
+
+        The one grant-and-clamp routine.  The scheduler calls it with
+        ``None`` as the coalesced flush event, which returns every
+        pending credit; :meth:`replenish` calls it with an explicit
+        amount.
+        """
+        if amount is None:
+            if self._sanitize:
+                self.check_conservation()
+            amount = self._pending_replenish
+            self._pending_replenish = 0
+            self.flush_count += 1
+        self._credits += amount
+        self.total_replenished += amount
+        waiters = self._waiters
+        while waiters and self._credits >= waiters[0][0]:
+            want, grant, arg = waiters.popleft()
+            self._credits -= want
+            self.total_taken += want
+            grant(arg)
+        if self._credits > self.maximum:
+            if self._sanitize and waiters:
+                raise SanitizerError(
+                    f"credit pool {self.name!r}: clamping "
+                    f"{self._credits - self.maximum} credits while "
+                    f"{len(waiters)} taker(s) are still blocked "
+                    "(waiters must be granted before the clamp)")
+            self._clamped += self._credits - self.maximum
+            self._credits = self.maximum
         if self._sanitize:
             self.check_conservation()
-        amount = self._pending_replenish
-        self._pending_replenish = 0
-        self.flush_count += 1
-        self.replenish(amount)
 
     def check_conservation(self) -> None:
         """Assert the credit-conservation invariant of this pool.

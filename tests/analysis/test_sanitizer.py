@@ -104,11 +104,20 @@ def _buggy_replenish(self, amount=1):
     """Re-introduced bug: clamp to maximum *before* granting waiters."""
     self._credits = min(self.maximum, self._credits + amount)
     self.total_replenished += amount
-    while self._waiters and self._credits >= self._waiters[0][1]:
-        event, want = self._waiters.popleft()
+    while self._waiters and self._credits >= self._waiters[0][0]:
+        want, grant, arg = self._waiters.popleft()
         self._credits -= want
         self.total_taken += want
-        event.succeed(None)
+        grant(arg)
+
+
+def _buggy_flush_replenish(self, amount=None):
+    """The same bug planted in the coalesced flush the datalink arms."""
+    if amount is None:
+        amount = self._pending_replenish
+        self._pending_replenish = 0
+        self.flush_count += 1
+    _buggy_replenish(self, amount)
 
 
 def test_mutation_credit_destruction_detected(monkeypatch):
@@ -125,6 +134,72 @@ def test_mutation_credit_destruction_detected(monkeypatch):
     pool.replenish(4)
     with pytest.raises(SanitizerError, match="conservation violated"):
         pool.try_take(1)
+
+
+def _over_returning_datalink(sim):
+    """A 2-credit datalink with four packets parked on credits.
+
+    The receiver owes the sender three credits beyond its window, so
+    the first credit return it flushes carries 4 credits while the
+    pool holds none: the only shape in which the clamp order decides
+    whether credits owed to blocked senders survive.  A seventh packet
+    is sent once the burst has drained.
+    """
+    link = PhysicalLink(sim, LinkConfig())
+    datalink = DataLink(sim, link, DataLinkConfig(credits=2, credit_batch=1))
+    received = []
+    datalink.connect(received.append)
+    for _ in range(6):
+        datalink.send_and_forget(
+            Packet(src=0, dst=1, kind=PacketKind.QPAIR_DATA,
+                   payload_bytes=64))
+    assert datalink.credits.pending_waiters() == 4
+    datalink._credits_owed = 3
+    sim.schedule_at(50_000, datalink.send_and_forget,
+                    Packet(src=0, dst=1, kind=PacketKind.QPAIR_DATA,
+                           payload_bytes=64))
+    return datalink, received
+
+
+def test_mutation_flush_credit_destruction_detected(monkeypatch):
+    # The datalink returns credits through the coalesced flush event
+    # (armed inline by DataLink._rx_done), not through replenish(); the
+    # same clamp-before-grant bug planted there must be caught too.  The
+    # buggy flush skips its own entry audit, so the destroyed credits
+    # surface at the datalink's next inline credit take.
+    sim = Simulator(sanitize=True)
+    datalink, _received = _over_returning_datalink(sim)
+    monkeypatch.setattr(CreditPool, "_flush_replenish",
+                        _buggy_flush_replenish)
+    with pytest.raises(SanitizerError, match="conservation violated"):
+        sim.run_until_idle()
+
+
+def test_over_returning_datalink_is_clean_without_the_mutation():
+    # The control: the real flush grants all four parked senders before
+    # clamping, so every packet is delivered and the ledger balances.
+    sim = Simulator(sanitize=True)
+    datalink, received = _over_returning_datalink(sim)
+    sim.run_until_idle()
+    assert len(received) == 7
+    assert datalink.credits.pending_waiters() == 0
+    datalink.credits.check_conservation()
+
+
+def test_send_and_forget_audits_conservation():
+    # send_and_forget takes its credit inline instead of through
+    # try_take; under the sanitizer it must still run try_take's
+    # conservation audit, so a credit destroyed behind the ledger's
+    # back is caught at the next per-hop take.
+    sim = Simulator(sanitize=True)
+    link = PhysicalLink(sim, LinkConfig())
+    datalink = DataLink(sim, link, DataLinkConfig())
+    datalink.connect(_noop)
+    datalink.credits._credits -= 1
+    with pytest.raises(SanitizerError, match="conservation violated"):
+        datalink.send_and_forget(
+            Packet(src=0, dst=1, kind=PacketKind.QPAIR_DATA,
+                   payload_bytes=64))
 
 
 def test_conservation_check_passes_on_honest_pool(sim):

@@ -18,6 +18,7 @@ from repro.core.channels.backend import (
 )
 from repro.core.config import VeniceConfig
 from repro.core.system import VeniceSystem
+from repro.fabric.packet import Packet, PacketKind
 
 LINE = 64
 
@@ -179,3 +180,50 @@ def test_ops_without_deadline_are_unchanged():
     assert op.done
     assert op.deadline_ns is None
     assert transport.ops_timed_out == 0
+
+
+# ----------------------------------------------------------------------
+# Replayed packets keep their identity
+# ----------------------------------------------------------------------
+def _flapped_pair(sanitize=None):
+    """A pair whose link 0->1 is admin-down from 0 to 1,500 ns.
+
+    A packet sent at once arrives corrupted, the far-end CRC check NAKs
+    it and the datalink replays it over the healed link.
+    """
+    system = _pair_system(sanitize=sanitize)
+    transport = system.event_transport()
+    link = transport.fabric.links[(0, 1)]
+    link.set_admin_down()
+    transport.sim.schedule_at(1_500, link.set_admin_up)
+    return transport
+
+
+def test_replayed_packet_completes_its_op():
+    transport = _flapped_pair(sanitize=True)
+    op = transport.submit_one_way(0, 1, LINE, PacketKind.QPAIR_DATA,
+                                  deadline_ns=1_000_000)
+    transport.drive_all([op])
+    datalink = transport.fabric.datalinks[(0, 1)]
+    assert datalink.stats.counter("replays").value == 1
+    assert op.done and not op.failed
+    assert transport.unmatched == 0
+    assert transport.ops_timed_out == 0
+    transport.check_packet_lifecycle()
+
+
+def test_replayed_packet_keeps_id_creation_time_and_hops():
+    transport = _flapped_pair()
+    arrivals = []
+    packet = Packet(src=0, dst=1, kind=PacketKind.QPAIR_DATA,
+                    payload_bytes=LINE, created_at=700)
+    transport.expect(packet, arrivals.append)
+    transport.inject(packet)
+    transport.sim.run_until_idle()
+    assert transport.unmatched == 0
+    (delivered,) = arrivals
+    assert delivered.packet_id == packet.packet_id
+    assert delivered.created_at == 700
+    assert not delivered.corrupted
+    # The corrupted crossing and the replayed one both count as hops.
+    assert delivered.hops == 2
